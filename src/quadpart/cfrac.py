@@ -11,7 +11,6 @@ with u_{k+s} = u_k.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,8 +121,7 @@ class ConvergentTable:
     """Lazily extended table of convergents p_i, q_i, alpha_i and |norm(alpha_i)|.
 
     Rows exist for i >= -1; indices are absolute (never reduced mod the
-    period), so callers can ask for rows far past one period.  Extension is
-    lock-protected so concurrent readers always see a consistent prefix.
+    period), so callers can ask for rows far past one period.
     """
 
     def __init__(self, ctx: FieldCtx, cf: CFData):
@@ -134,7 +132,6 @@ class ConvergentTable:
         self._q = [0, 1]
         self._alpha = [QuadInt(1, 0, ctx), QuadInt(ctx.floor_omega, 0, ctx) + self._xi]
         self._absnorm = [1, abs(self._alpha[1].norm())]
-        self._lock = threading.Lock()
         self._check_row(-1)
         self._check_row(0)
 
@@ -151,15 +148,14 @@ class ConvergentTable:
             raise InternalError(f"alpha_{i} total positivity violates parity of i")
 
     def _extend_to(self, i: int) -> None:
-        with self._lock:
-            while len(self._p) < i + 2:
-                k = len(self._p) - 1  # next absolute index to fill
-                u = self.cf.u(k)
-                self._p.append(u * self._p[-1] + self._p[-2])
-                self._q.append(u * self._q[-1] + self._q[-2])
-                self._alpha.append(u * self._alpha[-1] + self._alpha[-2])
-                self._absnorm.append(abs(self._alpha[-1].norm()))
-                self._check_row(k)
+        while len(self._p) < i + 2:
+            k = len(self._p) - 1  # next absolute index to fill
+            u = self.cf.u(k)
+            self._p.append(u * self._p[-1] + self._p[-2])
+            self._q.append(u * self._q[-1] + self._q[-2])
+            self._alpha.append(u * self._alpha[-1] + self._alpha[-2])
+            self._absnorm.append(abs(self._alpha[-1].norm()))
+            self._check_row(k)
 
     def row(self, i: int) -> tuple[int, int, QuadInt, int]:
         """(p_i, q_i, alpha_i, N_i) for i >= -1."""

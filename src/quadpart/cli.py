@@ -11,7 +11,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .qfield import (
@@ -28,6 +27,7 @@ from .qfield import (
 from .cfrac import convergents, expansion, units
 from .indec import indec_seq
 from .partcount import (
+    exists_six_partitions,
     gen_six_partitions,
     gen_two_indec_partitions,
     list_partitions,
@@ -224,25 +224,13 @@ def _cmd_verify(args) -> int:
     return 0 if rep.ok else CHECK_FAILED
 
 
-def _scan_rows(m: int, xmax: int, fast6: bool, workers: int) -> list[dict]:
-    ds = squarefree_range(xmax)
-    if fast6:
-        from .partcount import exists_six_partitions
-
-        def job(d):
-            return d, exists_six_partitions(d), None
-    else:
-        def job(d):
-            ok, w = value_attained(d, m)
-            return d, ok, w
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, ds))
-    else:
-        results = [job(d) for d in ds]
+def _scan_rows(m: int, xmax: int, fast6: bool) -> list[dict]:
     rows = []
-    for d, ok, w in results:
+    for d in squarefree_range(xmax):
+        if fast6:
+            ok, w = exists_six_partitions(d), None
+        else:
+            ok, w = value_attained(d, m)
         rows.append({
             "D": d,
             "m": m,
@@ -260,7 +248,7 @@ def _cmd_scan(args) -> int:
     key = f"scan_m{args.m}_x{args.xmax}" + ("_fast6" if args.fast6 else "")
     payload = cache_get(key, args.no_cache)
     if payload is None:
-        rows = _scan_rows(args.m, args.xmax, args.fast6, args.workers)
+        rows = _scan_rows(args.m, args.xmax, args.fast6)
         payload = {"rows": rows}
         cache_put(key, payload, args.no_cache)
     buf = io.StringIO()
@@ -352,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--fast6", action="store_true")
-    p.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("witness", help="witness elements for small counts")

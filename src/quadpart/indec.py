@@ -9,7 +9,6 @@ the three-term relation  v_j * beta_j = beta_{j-1} + beta_{j+1}.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,7 +43,6 @@ class IndecSeq:
         self.table = table
         self.units = un
         self._offsets = [0]  # _offsets[k] = first index of the block at i = 2k-1
-        self._offsets_lock = threading.Lock()
         self._beta_cache: dict[int, QuadInt] = {}
         # One multiplication by eps_plus shifts the sequence index by s_prime:
         # the number of indecomposables carved out of one totally positive
@@ -58,11 +56,9 @@ class IndecSeq:
         """(i, r) with beta_|j| = alpha_{i,r}; valid for any j (uses |j|)."""
         j = abs(j)
         off = self._offsets
-        if off[-1] <= j:
-            with self._offsets_lock:
-                while off[-1] <= j:
-                    k = len(off) - 1
-                    off.append(off[-1] + self.cf.u(2 * k + 1))
+        while off[-1] <= j:
+            k = len(off) - 1
+            off.append(off[-1] + self.cf.u(2 * k + 1))
         k = bisect_right(off, j) - 1
         return 2 * k - 1, j - off[k]
 

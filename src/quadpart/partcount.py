@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .qfield import (
     BadIndex,
@@ -23,6 +23,7 @@ from .qfield import (
     QuadInt,
     floor_surd,
     make_field,
+    sign_surd,
 )
 from .cfrac import expansion
 from .indec import IndecSeq, indec_seq
@@ -108,30 +109,23 @@ def _desc_real(ctx: FieldCtx, coords: Iterable[tuple[int, int]]) -> list[tuple[i
     t, delta = ctx.tr_omega, ctx.delta
 
     def cmp(p, q):
-        du = 2 * (p[0] - q[0]) + t * (p[1] - q[1])
         dv = p[1] - q[1]
-        if dv == 0:
-            return (du > 0) - (du < 0)
-        if du == 0:
-            return 1 if dv > 0 else -1
-        if du > 0 and dv > 0:
-            return 1
-        if du < 0 and dv < 0:
-            return -1
-        big = du * du > dv * dv * delta
-        return (1 if big else -1) if du > 0 else (-1 if big else 1)
+        return sign_surd(2 * (p[0] - q[0]) + t * dv, dv, delta)
 
     return sorted(coords, key=cmp_to_key(cmp), reverse=True)
+
+
+def _support_tuples(alpha: QuadInt) -> list[tuple[int, int]]:
+    ctx = alpha.ctx
+    u, v = alpha.embedding_pair()
+    return _desc_real(ctx, lattice_leq(ctx, (u, v), (u, -v)))
 
 
 def parts_leq(alpha: QuadInt) -> list[QuadInt]:
     """All totally positive gamma <= alpha, sorted descending by real embedding."""
     if not alpha.is_totally_positive():
         raise NotTotallyPositive(f"{alpha} is not totally positive")
-    ctx = alpha.ctx
-    u, v = alpha.embedding_pair()
-    coords = _desc_real(ctx, lattice_leq(ctx, (u, v), (u, -v)))
-    return [QuadInt(a, b, ctx) for a, b in coords]
+    return [QuadInt(a, b, alpha.ctx) for a, b in _support_tuples(alpha)]
 
 
 # -- the counting core -----------------------------------------------------------
@@ -167,21 +161,7 @@ class PartitionCounter:
         lo, hi = 0, len(self.parts)
         while lo < hi:
             mid = (lo + hi) // 2
-            du = us[mid] - ua
-            dv = vs[mid] - va
-            if dv == 0:
-                leq = du <= 0
-            elif du == 0:
-                leq = dv < 0
-            elif du > 0 and dv > 0:
-                leq = False
-            elif du < 0 and dv < 0:
-                leq = True
-            elif du > 0:  # dv < 0
-                leq = du * du < dv * dv * delta
-            else:  # du < 0 < dv
-                leq = du * du > dv * dv * delta
-            if leq:
+            if sign_surd(us[mid] - ua, vs[mid] - va, delta) <= 0:
                 hi = mid
             else:
                 lo = mid + 1
@@ -202,7 +182,8 @@ class PartitionCounter:
 
     def _ways(self, ra: int, rb: int, i: int) -> int:
         t, delta = self.ctx.tr_omega, self.ctx.delta
-        i0 = self._first_fit(2 * ra + t * rb, rb)
+        ur = 2 * ra + t * rb
+        i0 = self._first_fit(ur, rb)
         if i0 > i:
             i = i0
         key = (ra, rb, i)
@@ -210,7 +191,7 @@ class PartitionCounter:
         val = memo.get(key)
         if val is not None:
             return val
-        parts = self.parts
+        parts, us = self.parts, self._us
         cap = self.cap
         sat = None if cap is None else cap + 1
         total = 0
@@ -220,11 +201,10 @@ class PartitionCounter:
             db = rb - pb
             if da == 0 and db == 0:
                 total += 1
-            else:
-                u = 2 * da + t * db
-                # remainder totally positive  <=>  trace > 0 and 4*norm > 0
-                if u > 0 and u * u > db * db * delta:
-                    total += self._ways(da, db, k)
+            # the remainder has embeddings (ur - us[k] +- db*sqrt(delta))/2,
+            # so it is totally positive iff ur - us[k] - |db|*sqrt(delta) > 0
+            elif sign_surd(ur - us[k], -abs(db), delta) > 0:
+                total += self._ways(da, db, k)
             if sat is not None and total >= sat:
                 total = sat
                 break
@@ -232,13 +212,16 @@ class PartitionCounter:
         return total
 
 
-def _support_tuples(alpha: QuadInt) -> list[tuple[int, int]]:
-    ctx = alpha.ctx
-    u, v = alpha.embedding_pair()
-    return _desc_real(ctx, lattice_leq(ctx, (u, v), (u, -v)))
-
-
-def _result(count: int, cap: Optional[int]) -> CountResult:
+def _count(alpha: QuadInt, support: Callable[[QuadInt], list[tuple[int, int]]],
+           cap: Optional[int]) -> CountResult:
+    """Partitions of alpha into the parts support(alpha) lists, saturated above cap."""
+    if cap is not None and cap < 0:
+        raise BadIndex(f"cap must be >= 0, got {cap}")
+    if alpha.is_zero():
+        return CountResult.exactly(1)
+    if not alpha.is_totally_positive():
+        raise NotTotallyPositive(f"{alpha} is not totally positive")
+    count = PartitionCounter(alpha.ctx, support(alpha), cap).count(alpha)
     if cap is not None and count > cap:
         return CountResult.at_least(cap + 1)
     return CountResult.exactly(count)
@@ -246,12 +229,7 @@ def _result(count: int, cap: Optional[int]) -> CountResult:
 
 def pk(alpha: QuadInt, cap: Optional[int] = None) -> CountResult:
     """Number of partitions of alpha into totally positive parts (p_K(0) = 1)."""
-    if alpha.is_zero():
-        return CountResult.exactly(1)
-    if not alpha.is_totally_positive():
-        raise NotTotallyPositive(f"{alpha} is not totally positive")
-    counter = PartitionCounter(alpha.ctx, _support_tuples(alpha), cap)
-    return _result(counter.count(alpha), cap)
+    return _count(alpha, _support_tuples, cap)
 
 
 def indec_support(alpha: QuadInt) -> list[tuple[int, int]]:
@@ -263,12 +241,7 @@ def indec_support(alpha: QuadInt) -> list[tuple[int, int]]:
 
 def pk_indec(alpha: QuadInt, cap: Optional[int] = None) -> CountResult:
     """Number of partitions of alpha with all parts indecomposable."""
-    if alpha.is_zero():
-        return CountResult.exactly(1)
-    if not alpha.is_totally_positive():
-        raise NotTotallyPositive(f"{alpha} is not totally positive")
-    counter = PartitionCounter(alpha.ctx, indec_support(alpha), cap)
-    return _result(counter.count(alpha), cap)
+    return _count(alpha, indec_support, cap)
 
 
 def list_partitions(alpha: QuadInt, indec_only: bool = False,
@@ -293,10 +266,8 @@ def list_partitions(alpha: QuadInt, indec_only: bool = False,
                 out.append([QuadInt(*p, ctx) for p in acc + [(pa, pb)]])
                 if limit is not None and len(out) >= limit:
                     return
-            else:
-                u = 2 * da + t * db
-                if u > 0 and u * u > db * db * delta:
-                    descend(da, db, k, acc + [(pa, pb)])
+            elif sign_surd(2 * da + t * db, -abs(db), delta) > 0:
+                descend(da, db, k, acc + [(pa, pb)])
         return
 
     descend(alpha.a, alpha.b, 0, [])

@@ -3,14 +3,13 @@
 Elements are stored as integer coordinate pairs over the basis (1, w),
 where w = sqrt(D) for D = 2,3 (mod 4) and w = (1+sqrt(D))/2 for
 D = 1 (mod 4).  Every comparison and sign decision is made in exact
-integer/rational arithmetic; no floating point enters any decision path.
+integer arithmetic; no floating point enters any decision path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -44,20 +43,15 @@ class InternalError(QuadpartError):
 
 def sign_surd(u: int, v: int, delta: int) -> int:
     """Exact sign of u + v*sqrt(delta) for integers u, v and nonsquare delta >= 2."""
-    if v == 0:
-        return (u > 0) - (u < 0)
-    if u == 0:
-        return 1 if v > 0 else -1
-    if u > 0 and v > 0:
-        return 1
-    if u < 0 and v < 0:
+    # Mixed signs compare u^2 against v^2*delta.  delta is never a perfect
+    # square here, so the two sides are equal only when u = v = 0.
+    if u >= 0:
+        if v >= 0:
+            return 1 if u or v else 0
+        return 1 if u * u > v * v * delta else -1
+    if v <= 0:
         return -1
-    # Mixed signs: compare u^2 against v^2*delta.  delta is never a perfect
-    # square here, so the two sides are never equal.
-    lhs, rhs = u * u, v * v * delta
-    if u > 0:  # v < 0
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
+    return -1 if u * u > v * v * delta else 1
 
 
 def floor_surd(p: int, q: int, r: int, delta: int) -> int:
@@ -254,10 +248,6 @@ def one(ctx: FieldCtx) -> QuadInt:
     return QuadInt(1, 0, ctx)
 
 
-def omega(ctx: FieldCtx) -> QuadInt:
-    return QuadInt(0, 1, ctx)
-
-
 def xi(ctx: FieldCtx) -> QuadInt:
     """xi = -w' = w - tr(w): the positive root paired with w in the basis."""
     return QuadInt(-ctx.tr_omega, 1, ctx)
@@ -265,20 +255,14 @@ def xi(ctx: FieldCtx) -> QuadInt:
 
 @dataclass(frozen=True)
 class SurdExpr:
-    """Exact value x + y*sqrt(delta) with rational x, y; sign is decided exactly."""
+    """Exact value x + y*sqrt(delta) with integer x, y; sign is decided exactly."""
 
-    x: Fraction
-    y: Fraction
+    x: int
+    y: int
     delta: int
 
     def sign(self) -> int:
-        # Clear denominators: sign(x + y*sqrt(delta)) with x=p/q, y=r/s
-        # equals sign(p*s + q*r*sqrt(delta)) since q, s > 0.
-        return sign_surd(
-            self.x.numerator * self.y.denominator,
-            self.y.numerator * self.x.denominator,
-            self.delta,
-        )
+        return sign_surd(self.x, self.y, self.delta)
 
     def minus_int(self, n: int) -> "SurdExpr":
         return SurdExpr(self.x - n, self.y, self.delta)
@@ -293,7 +277,3 @@ class SurdExpr:
 
     def __str__(self) -> str:
         return f"{self.x}+{self.y}*sqrt({self.delta})"
-
-
-def surd_sign(e: SurdExpr) -> int:
-    return e.sign()

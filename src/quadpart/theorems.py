@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .qfield import (
@@ -50,13 +49,11 @@ def squarefree_range(x: int) -> list[int]:
 
 
 def first_n_squarefree(n: int) -> list[int]:
-    out: list[int] = []
-    d = 2
-    while len(out) < n:
-        if all(d % (f * f) != 0 for f in range(2, math.isqrt(d) + 1)):
-            out.append(d)
-        d += 1
-    return out
+    """The n smallest squarefree D >= 2."""
+    x = 2 * n + 2
+    while len(ds := squarefree_range(x)) < n:
+        x *= 2
+    return ds[:n]
 
 
 def norm_bound(ctx: FieldCtx, kind: str, m: Optional[int] = None) -> SurdExpr:
@@ -69,16 +66,16 @@ def norm_bound(ctx: FieldCtx, kind: str, m: Optional[int] = None) -> SurdExpr:
     """
     d = ctx.delta
     if kind == "ds":
-        return SurdExpr(Fraction(ctx.c_d), Fraction(0), d)
+        return SurdExpr(ctx.c_d, 0, d)
     if kind == "hk10":
-        return SurdExpr(Fraction(7 * d), Fraction(6 * d + 2), d)
+        return SurdExpr(7 * d, 6 * d + 2, d)
     if kind == "n2":
-        return SurdExpr(Fraction(25 * d), Fraction(15 * d + 10), d)
+        return SurdExpr(25 * d, 15 * d + 10, d)
     if kind == "n":
         if m is None or m < 1:
             raise BadIndex("bound kind 'n' needs m >= 1")
         c = m * m * (2 * m + 1) * (2 * m + 3)
-        return SurdExpr(Fraction(4 * c * d), Fraction(c * (d + 4)), d)
+        return SurdExpr(4 * c * d, c * (d + 4), d)
     raise BadIndex(f"unknown bound kind {kind!r}")
 
 

@@ -1,4 +1,6 @@
 import pytest
+import sympy
+from sympy.ntheory.continued_fraction import continued_fraction_periodic
 
 from quadpart.qfield import BadIndex, QuadInt, make_field, sign_surd
 from quadpart.cfrac import (
@@ -34,6 +36,24 @@ def test_expand_invariants():
         assert list(cf.sigma_period) == [cf.u0] + list(cf.period[:-1])
         # u_0 is the largest partial quotient of the purely periodic expansion
         assert max(cf.period) <= cf.u0
+
+
+def test_expand_matches_sympy_for_all_squarefree_d_up_to_300():
+    checked = 0
+    for d in range(2, 301):
+        if any(e > 1 for e in sympy.factorint(d).values()):
+            continue
+        # w = (1 + sqrt(d))/2 or sqrt(d), expanded by sympy's own algorithm
+        got = (continued_fraction_periodic(1, 2, d) if d % 4 == 1
+               else continued_fraction_periodic(0, 1, d))
+        if len(got) == 1:  # purely periodic [[a0, ..., ak]]: rotate a0 out
+            per = got[0]
+            got = [per[0], per[1:] + per[:1]]
+        a0, period = got
+        cf = expansion(d)
+        assert (a0, tuple(period)) == ((cf.u0 + 1) // 2, cf.period), d
+        checked += 1
+    assert checked == 182
 
 
 def test_period_wraparound_matches_unwrapped_steps():

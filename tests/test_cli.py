@@ -116,11 +116,11 @@ def test_scan_command_csv(capsys, cache_dir):
 
 
 def test_scan_cached_and_parallel_identical(capsys, cache_dir):
-    assert run(["scan", "--m", "2", "--xmax", "15", "--workers", "4"]) == 0
+    assert run(["scan", "--m", "2", "--xmax", "15"]) == 0
     first = out_of(capsys)
     assert run(["scan", "--m", "2", "--xmax", "15"]) == 0  # cache hit
     second = out_of(capsys)
-    assert run(["--no-cache", "scan", "--m", "2", "--xmax", "15", "--workers", "1"]) == 0
+    assert run(["--no-cache", "scan", "--m", "2", "--xmax", "15"]) == 0
     third = out_of(capsys)
     assert first == second == third
 
@@ -141,6 +141,7 @@ def test_usage_errors(capsys, cache_dir):
     assert run(["field", "12"]) == 2  # not squarefree
     assert run(["field", "1"]) == 2
     assert run(["pk", "2", "1", "1"]) == 2  # not totally positive
+    assert run(["pk", "2", "4", "2", "--cap", "-1"]) == 2  # negative cap
     assert run(["nonsense"]) == 2
     assert run(["gen", "2"]) == 2  # neither --pk nor --pki
     assert run(["verify", "2", "--bound", "n"]) == 2  # missing --m

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadpart.qfield import BadIndex, NotTotallyPositive, QuadInt, make_field, sign_surd
 from quadpart.indec import indec_seq
@@ -138,6 +140,14 @@ def test_pk_cap_saturates():
     assert r == CountResult.at_least(6)
     assert pk(q(4, 2, 2), cap=3) == exact(3)
     assert pk(q(4, 2, 2), cap=2) == CountResult.at_least(3)
+
+
+def test_pk_rejects_negative_cap():
+    for fn in (pk, pk_indec):
+        for alpha in (q(4, 2, 2), q(0, 0, 2)):
+            with pytest.raises(BadIndex):
+                fn(alpha, cap=-1)
+    assert pk(q(4, 2, 2), cap=0) == CountResult.at_least(1)
 
 
 def test_pk_indec_examples():
@@ -415,3 +425,17 @@ def test_shared_counter_matches_fresh_calls():
     for coords in box:
         alpha = QuadInt(*coords, ctx)
         assert counter.count(alpha) == min(pk(alpha, cap=9).value, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13, 21, 94]), st.integers(1, 16),
+       st.integers(-40, 40), st.integers(-12, 12), st.integers(-1, 400))
+def test_first_fit_matches_linear_scan(d, n, a, b, pick):
+    ctx = make_field(d)
+    parts = _desc_real(ctx, lattice_leq(ctx, (0, n), (0, n)))
+    counter = PartitionCounter(ctx, parts, cap=None)
+    # pick >= 0 queries a part itself, so ties in the real embedding are hit
+    x = QuadInt(*parts[pick % len(parts)], ctx) if pick >= 0 else QuadInt(a, b, ctx)
+    want = next((k for k, p in enumerate(parts)
+                 if QuadInt(*p, ctx).cmp_real(x) <= 0), len(parts))
+    assert counter._first_fit(*x.embedding_pair()) == want

@@ -2,6 +2,9 @@ import math
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadpart.qfield import (
     CtxMismatch,
@@ -13,7 +16,6 @@ from quadpart.qfield import (
     make_field,
     sign_surd,
 )
-from fractions import Fraction
 
 DSET = [2, 3, 5, 6, 7, 10, 13, 17, 21, 29]
 
@@ -183,13 +185,33 @@ def test_sign_surd_metamorphic():
 
 
 def test_surd_expr_sign_uses_no_floats():
-    e = SurdExpr(Fraction(-141421356237309504880168, 10**23), Fraction(1), 2)
-    # x is a 23-digit truncation of -sqrt(2), so the sum is ~8.7e-24: far below
-    # float resolution but exactly positive
+    e = SurdExpr(-141421356237309504880168, 10**23, 2)
+    # x is a 24-digit truncation of -10**23*sqrt(2), so the sum is ~0.87
+    # against terms of size 1.4e23: far below float resolution but exactly
+    # positive
     assert e.sign() == 1
-    e = SurdExpr(Fraction(-141421356237309504880169, 10**23), Fraction(1), 2)
+    e = SurdExpr(-141421356237309504880169, 10**23, 2)
     assert e.sign() == -1
-    assert SurdExpr(Fraction(0), Fraction(0), 5).sign() == 0
+    assert SurdExpr(0, 0, 5).sign() == 0
+
+
+nonsquare = st.integers(2, 10**6).filter(lambda n: math.isqrt(n) ** 2 != n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30), nonsquare)
+def test_sign_surd_matches_sympy(u, v, delta):
+    assert sign_surd(u, v, delta) == sympy.sign(u + v * sympy.sqrt(delta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**25), nonsquare, st.integers(-2, 2), st.booleans())
+def test_sign_surd_near_ties_match_sympy(v, delta, offset, flip):
+    # u is within a few units of -v*sqrt(delta), where float sums cancel out
+    u = -math.isqrt(v * v * delta) + offset
+    if flip:
+        u, v = -u, -v
+    assert sign_surd(u, v, delta) == sympy.sign(u + v * sympy.sqrt(delta))
 
 
 def test_floor_surd():
