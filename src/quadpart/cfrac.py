@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .qfield import (
     FieldCtx,
@@ -127,10 +126,7 @@ class ConvergentTable:
     def __init__(self, ctx: FieldCtx, cf: CFData):
         self.ctx = ctx
         self.cf = cf
-        self._xi = xi(ctx)
-        self._p = [1, ctx.floor_omega]
-        self._q = [0, 1]
-        self._alpha = [QuadInt(1, 0, ctx), QuadInt(ctx.floor_omega, 0, ctx) + self._xi]
+        self._alpha = [QuadInt(1, 0, ctx), QuadInt(ctx.floor_omega, 0, ctx) + xi(ctx)]
         self._absnorm = [1, abs(self._alpha[1].norm())]
         self._check_row(-1)
         self._check_row(0)
@@ -148,22 +144,21 @@ class ConvergentTable:
             raise InternalError(f"alpha_{i} total positivity violates parity of i")
 
     def _extend_to(self, i: int) -> None:
-        while len(self._p) < i + 2:
-            k = len(self._p) - 1  # next absolute index to fill
+        while len(self._alpha) < i + 2:
+            k = len(self._alpha) - 1  # next absolute index to fill
             u = self.cf.u(k)
-            self._p.append(u * self._p[-1] + self._p[-2])
-            self._q.append(u * self._q[-1] + self._q[-2])
             self._alpha.append(u * self._alpha[-1] + self._alpha[-2])
             self._absnorm.append(abs(self._alpha[-1].norm()))
             self._check_row(k)
 
     def row(self, i: int) -> tuple[int, int, QuadInt, int]:
-        """(p_i, q_i, alpha_i, N_i) for i >= -1."""
+        """(p_i, q_i, alpha_i, N_i) for i >= -1; alpha_i = (p_i - tr*q_i) + q_i*w."""
         if i < -1:
             raise BadIndex(f"convergent index must be >= -1, got {i}")
-        if len(self._p) < i + 2:
+        if len(self._alpha) < i + 2:
             self._extend_to(i)
-        return self._p[i + 1], self._q[i + 1], self._alpha[i + 1], self._absnorm[i + 1]
+        alpha = self._alpha[i + 1]
+        return alpha.a + self.ctx.tr_omega * alpha.b, alpha.b, alpha, self._absnorm[i + 1]
 
     def alpha(self, i: int) -> QuadInt:
         return self.row(i)[2]
@@ -226,11 +221,9 @@ def verify_tail_norm_identity(table: ConvergentTable, cf: CFData, i: int) -> boo
     return rational_part == 0 and surd_part == 0 and bound * bound < delta
 
 
-@lru_cache(maxsize=None)
 def expansion(d: int) -> CFData:
     return cf_expand(make_field(d))
 
 
-@lru_cache(maxsize=None)
 def convergents(d: int) -> ConvergentTable:
     return ConvergentTable(make_field(d), expansion(d))

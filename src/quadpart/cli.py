@@ -1,6 +1,6 @@
 """Command-line front end: field queries, counting, generators, verification,
-scans, and density reports, with JSON/CSV output and an on-disk cache for
-continued-fraction expansions and scan results.
+scans, and density reports, with JSON/CSV output.  Scan results are cached
+on disk; in memory, state is kept only for the most recently used fields.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .qfield import (
     QuadpartError,
     make_field,
 )
-from .cfrac import convergents, expansion, units
 from .indec import indec_seq
 from .partcount import (
     exists_six_partitions,
@@ -111,9 +110,8 @@ def _cmd_field(args) -> int:
 
 
 def _cf_payload(d: int) -> dict:
-    cf = expansion(d)
-    tab = convergents(d)
-    un = units(cf, tab)
+    seq = indec_seq(d)
+    cf, un = seq.cf, seq.units
     return {
         "schema": SCHEMA_VERSION,
         "D": d,
@@ -126,15 +124,9 @@ def _cf_payload(d: int) -> dict:
 
 
 def _cmd_cf(args) -> int:
-    key = f"cf_D{args.D}"
-    payload = cache_get(key, args.no_cache)
-    if payload is None:
-        make_field(args.D)  # validate D before touching the cache
-        payload = _cf_payload(args.D)
-        cache_put(key, payload, args.no_cache)
-    out = dict(payload)
+    out = _cf_payload(args.D)
     if args.rows is not None:
-        tab = convergents(args.D)
+        tab = indec_seq(args.D).table
         rows = []
         for i in range(-1, args.rows + 1):
             p, q, alpha, absnorm = tab.row(i)

@@ -20,9 +20,10 @@ from .qfield import (
     QuadInt,
     make_field,
 )
-from .cfrac import CFData, ConvergentTable, Units, convergents, expansion, units
+from .cfrac import CFData, ConvergentTable, Units, cf_expand, units
 
 _WALK_CAP = 1_000_000
+_LIVE_FIELDS = 16  # callers reuse a field only between consecutive calls
 
 
 @dataclass(frozen=True)
@@ -141,13 +142,8 @@ class IndecSeq:
         """All (j, beta_j) with beta_j <= alpha in the partial order, ascending j."""
         if not alpha.is_totally_positive():
             raise NotTotallyPositive(f"{alpha} is not totally positive")
-        lo, hi = self.window(alpha)
-        out = []
-        for j in range(lo - 1, hi + 2):
-            b = self.beta(j)
-            if alpha.succeq(b):
-                out.append((j, b))
-        return out
+        # Exact: real(beta_j) ascends in j and its conjugate descends.
+        return self.indec_window_leq(alpha, alpha.conjugate())
 
     def indec_window_leq(self, x1: QuadInt, x2: QuadInt) -> list[tuple[int, QuadInt]]:
         """All (j, beta_j) with real embedding <= real(x1) and conjugate
@@ -184,9 +180,10 @@ class IndecSeq:
         raise InternalError("balancing did not converge")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LIVE_FIELDS)
 def indec_seq(d: int) -> IndecSeq:
+    """The only per-field state kept between calls, for a few recent fields."""
     ctx = make_field(d)
-    cf = expansion(d)
-    table = convergents(d)
+    cf = cf_expand(ctx)
+    table = ConvergentTable(ctx, cf)
     return IndecSeq(ctx, cf, table, units(cf, table))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class QuadpartError(Exception):
@@ -109,7 +108,6 @@ class FieldCtx:
         return f"FieldCtx(D={self.D})"
 
 
-@lru_cache(maxsize=None)
 def make_field(d: int) -> FieldCtx:
     """Build the context for Q(sqrt(d)); d must be a squarefree integer >= 2."""
     if d < 2:

@@ -19,9 +19,7 @@ from .qfield import (
     InternalError,
     QuadInt,
     SurdExpr,
-    make_field,
 )
-from .cfrac import expansion
 from .indec import IndecSeq, indec_seq
 from .partcount import (
     CountResult,

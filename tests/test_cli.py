@@ -35,32 +35,32 @@ def test_cf_command_round_trip(capsys, cache_dir):
 
 
 def test_cache_hits_are_byte_identical(capsys, cache_dir):
-    assert run(["cf", "13"]) == 0
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     first = out_of(capsys)
-    assert (cache_dir / "v1" / "cf_D13.json").exists()
-    assert run(["cf", "13"]) == 0
+    assert (cache_dir / "v1" / "scan_m3_x13.json").exists()
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     second = out_of(capsys)
-    assert run(["--no-cache", "cf", "13"]) == 0
+    assert run(["--no-cache", "scan", "--m", "3", "--xmax", "13"]) == 0
     third = out_of(capsys)
     assert first == second == third
 
 
 def test_stale_cache_entries_are_ignored(capsys, cache_dir):
-    assert run(["cf", "3"]) == 0
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     good = out_of(capsys)
-    path = cache_dir / "v1" / "cf_D3.json"
-    path.write_text(json.dumps({"version": 0, "payload": {"bogus": True}}))
-    assert run(["cf", "3"]) == 0
+    path = cache_dir / "v1" / "scan_m3_x13.json"
+    path.write_text(json.dumps({"version": 0, "payload": {"rows": []}}))
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     assert out_of(capsys) == good  # wrong version forces recomputation
     path.write_text("not json at all")
-    assert run(["cf", "3"]) == 0
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     assert out_of(capsys) == good  # corrupt entries are ignored too
 
 
 def test_no_cache_writes_nothing(capsys, cache_dir):
-    assert run(["--no-cache", "cf", "7"]) == 0
+    assert run(["--no-cache", "scan", "--m", "3", "--xmax", "13"]) == 0
     out_of(capsys)
-    assert not (cache_dir / "v1" / "cf_D7.json").exists()
+    assert not (cache_dir / "v1" / "scan_m3_x13.json").exists()
 
 
 def test_indec_command(capsys, cache_dir):

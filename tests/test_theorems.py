@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from quadpart.qfield import BadIndex, QuadInt, make_field
@@ -108,6 +110,20 @@ def test_scan_examples_small():
     assert scan_missing_value(3, 12) == [5]
     assert scan_missing_value(1, 30) == []
     assert scan_missing_six_fast(17) == [5, 7, 15, 17]
+
+
+def test_scan_keeps_only_a_bounded_field_cache():
+    scan_missing_value(11, 300)
+    info = indec_seq.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    cached = set()
+    for name, mod in list(sys.modules.items()):
+        if name != "quadpart" and not name.startswith("quadpart."):
+            continue
+        for obj in vars(mod).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            cached |= {id(f) for f in (obj, *members) if hasattr(f, "cache_info")}
+    assert cached == {id(indec_seq)}
 
 
 def test_fast_six_matches_decision_procedure():
