@@ -11,6 +11,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from typing import Optional
 
 from .qfield import (
@@ -79,9 +80,16 @@ def cache_put(key: str, payload: dict, no_cache: bool) -> None:
     path = _cache_path(key)
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"version": SCHEMA_VERSION, "key": key, "payload": payload},
-                      fh, sort_keys=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=key + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump({"version": SCHEMA_VERSION, "key": key, "payload": payload},
+                          fh, sort_keys=True)
+            os.replace(tmp, path)  # readers see the old entry or the whole new one
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     except OSError:
         pass  # caching is best-effort; results never depend on it
 

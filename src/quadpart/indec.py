@@ -19,6 +19,7 @@ from .qfield import (
     NotTotallyPositive,
     QuadInt,
     make_field,
+    sign_surd,
 )
 from .cfrac import CFData, ConvergentTable, Units, cf_expand, units
 
@@ -84,21 +85,46 @@ class IndecSeq:
     # -- order windows -----------------------------------------------------
 
     def max_j_real_leq(self, x: QuadInt) -> int:
-        """Largest j with real(beta_j) <= real(x); x must have positive embedding."""
+        """Largest j with real(beta_j) <= real(x); x must have positive embedding.
+
+        Gallops away from j = 0 with doubling steps, then bisects the last
+        step, so it reads O(log|j|) indecomposables.
+        """
         if self.ctx.sign_embedding(x.a, x.b) <= 0:
             raise InternalError("index walk needs a positive real embedding")
-        j = 0
-        if self.beta(0).cmp_real(x) <= 0:
-            while self.beta(j + 1).cmp_real(x) <= 0:
-                j += 1
-                if j > _WALK_CAP:
+
+        t, delta = self.ctx.tr_omega, self.ctx.delta
+        xu, xv = x.embedding_pair()
+
+        def fits(j: int) -> bool:
+            b = self.beta(j)
+            return sign_surd(2 * b.a + t * b.b - xu, b.b - xv, delta) <= 0
+
+        # invariant once galloping stops: fits(lo) and not fits(hi)
+        step = 1
+        if fits(0):
+            lo = 0
+            while fits(lo + step):
+                lo += step
+                step *= 2
+                if lo > _WALK_CAP:
                     raise InternalError("runaway index walk (increasing side)")
-            return j
-        while self.beta(j).cmp_real(x) > 0:
-            j -= 1
-            if j < -_WALK_CAP:
-                raise InternalError("runaway index walk (decreasing side)")
-        return j
+            hi = lo + step
+        else:
+            hi = 0
+            while not fits(hi - step):
+                hi -= step
+                step *= 2
+                if hi < -_WALK_CAP:
+                    raise InternalError("runaway index walk (decreasing side)")
+            lo = hi - step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def window(self, alpha: QuadInt) -> tuple[int, int]:
         """Index range [lo, hi] of all beta_j with beta_j <= alpha in both embeddings."""
@@ -163,8 +189,8 @@ class IndecSeq:
         """A unit multiple of alpha whose two embeddings are within eps_plus^2.
 
         Multiplying by the totally positive unit changes neither partition
-        counts nor decomposability, but keeps the lattice enumeration boxes
-        close to square.
+        counts nor decomposability; it keeps the boxes of the lattice_leq
+        test oracle close to square.
         """
         ep = self.units.eps_plus
         ep_inv = ep.conjugate()  # norm 1, so the conjugate is the inverse

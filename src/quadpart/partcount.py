@@ -1,18 +1,21 @@
 """Partition counting over totally positive integers of a real quadratic field.
 
-The oracles here are deliberately structure-blind: parts_leq enumerates the
-support of an element by exact lattice scanning, and pk / pk_indec count
-multisets by memoized recursive descent over that support in descending
+parts_leq enumerates the support of an element over the indecomposable fan:
+every totally positive gamma is uniquely e*beta_j + f*beta_{j+1} (e >= 1,
+f >= 0), so the support is walked point by point rather than scanned row by
+row.  lattice_leq, an exact scan of the embedding box that knows nothing of
+the indecomposables, stays as the test oracle for that walk.  pk / pk_indec
+count multisets by memoized recursive descent over the support in descending
 real-embedding order.  Closed-form counts, characterizations, and generators
 live alongside and are cross-checked against the oracles by the test suite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Callable, Iterable, Optional
 
 from .qfield import (
@@ -105,20 +108,57 @@ def lattice_leq(ctx: FieldCtx, b1: tuple[int, int], b2: tuple[int, int]) -> list
 
 
 def _desc_real(ctx: FieldCtx, coords: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Sort coordinate pairs descending by exact real-embedding value."""
+    """Sort coordinate pairs descending by exact real-embedding value.
+
+    The key of a + b*w is q*(2a + t*b) + b*p with p = floor(q*sqrt(delta)): it
+    is 2q times the real embedding, less b times the rounding error of p.
+    Two distinct elements differ by some d != 0 with |real(d)| >= 1/|conj(d)|
+    (N(d) is a nonzero integer), and q > m^2*(3 + root), where m bounds every
+    coordinate, makes 2q*|real(d)| exceed the rounding error, so the key order
+    is the exact order and equal keys mean equal elements.
+    """
+    coords = list(coords)
     t, delta = ctx.tr_omega, ctx.delta
-
-    def cmp(p, q):
-        dv = p[1] - q[1]
-        return sign_surd(2 * (p[0] - q[0]) + t * dv, dv, delta)
-
-    return sorted(coords, key=cmp_to_key(cmp), reverse=True)
+    m = max(map(abs, itertools.chain.from_iterable(coords)), default=0)
+    root = math.isqrt(delta) + 1  # |conj(g)| < m*(3 + root)/2 for every g listed
+    q = 1 << (m * m * (3 + root)).bit_length()
+    ka, kb = 2 * q, t * q + floor_surd(0, q, 1, delta)
+    return sorted(coords, key=lambda c: c[0] * ka + c[1] * kb, reverse=True)
 
 
 def _support_tuples(alpha: QuadInt) -> list[tuple[int, int]]:
-    ctx = alpha.ctx
-    u, v = alpha.embedding_pair()
-    return _desc_real(ctx, lattice_leq(ctx, (u, v), (u, -v)))
+    """Coordinates of every totally positive gamma <= alpha, descending by real value.
+
+    gamma = e*beta_j + f*beta_{j+1} has beta_j <= gamma <= alpha, so j lies in
+    window(alpha), the run of j with beta_j <= alpha; adding a totally
+    positive element never comes back below alpha, so the j-, e- and f-loops
+    each stop at their first miss.  The work is the support size plus the
+    window width, whatever the shape of alpha.
+    """
+    seq = indec_seq(alpha.ctx.D)
+    t, delta = seq.ctx.tr_omega, seq.ctx.delta
+    au, av = alpha.embedding_pair()
+    out = []
+    j = seq.max_j_real_leq(alpha)
+    h = seq.beta(j + 1)
+    while True:
+        g = seq.beta(j)
+        ga, gb, ha, hb = g.a, g.b, h.a, h.b
+        gu, hu = 2 * ga + t * gb, 2 * ha + t * hb
+        # (ea, eb) = e*beta_j; (ru, av - eb) is the embedding pair of
+        # alpha - e*beta_j, which is zero or totally positive iff
+        # ru - |av - eb|*sqrt(delta) >= 0
+        ea, eb, ru = ga, gb, au - gu
+        emitted = len(out)
+        while sign_surd(ru, -abs(av - eb), delta) >= 0:
+            fa, fb, su = ea, eb, ru
+            while sign_surd(su, -abs(av - fb), delta) >= 0:
+                out.append((fa, fb))
+                fa, fb, su = fa + ha, fb + hb, su - hu
+            ea, eb, ru = ea + ga, eb + gb, ru - gu
+        if len(out) == emitted:
+            return _desc_real(seq.ctx, out)  # beta_j is not <= alpha: j left the window
+        j, h = j - 1, g
 
 
 def parts_leq(alpha: QuadInt) -> list[QuadInt]:

@@ -224,11 +224,11 @@ def partition_range_witnesses(d: int) -> tuple[int, dict[int, QuadInt]]:
     b = max(cf.u(i) for i in odd_positions)
     idx = next(i for i in odd_positions if cf.u(i) == b)
     witnesses: dict[int, QuadInt] = {1: seq.beta(1)}
-    if pk(seq.balanced(seq.beta(1)), cap=2) != CountResult.exactly(1):
+    if pk(seq.beta(1), cap=2) != CountResult.exactly(1):
         raise InternalError("indecomposable witness failed validation")
     for m in range(2, b // 2 + 3):
         w = 2 * seq.table.semiconvergent(idx - 2, m - 2)
-        got = pk(seq.balanced(w), cap=m + 1)
+        got = pk(w, cap=m + 1)
         if got != CountResult.exactly(m):
             raise InternalError(f"witness for m={m} has count {got} in D={d}")
         witnesses[m] = w
@@ -241,8 +241,8 @@ def value_attained(d: int, m: int) -> tuple[bool, Optional[QuadInt]]:
     Complete: an element with m partitions has at most m indecomposable-part
     partitions, hence a unit multiple of it appears in the candidate box of
     low_count_candidates.  Counts are invariant under that unit action, so
-    evaluating the capped oracle on a balanced representative of every
-    candidate and returning the first exact hit decides membership.
+    evaluating the capped oracle on every candidate and returning the first
+    exact hit decides membership.
     Candidates are discarded without counting only when an exact lower bound
     already exceeds m: p(e)*p(f) many partitions exist by splitting
     e*beta_j and f*beta_{j+1} separately into multiples of beta_j and
@@ -267,7 +267,7 @@ def value_attained(d: int, m: int) -> tuple[bool, Optional[QuadInt]]:
                 alpha = base + f * bj1
                 if indec_counter.count(alpha) > m:
                     continue  # more than m restricted partitions
-                r = pk(seq.balanced(alpha), cap=m)
+                r = pk(alpha, cap=m)
                 if r.exact and r.value == m:
                     return True, alpha
     return False, None

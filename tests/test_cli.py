@@ -4,6 +4,7 @@ import os
 import pytest
 
 from quadpart.qfield import QuadInt, make_field
+from quadpart import cli
 from quadpart.cli import run
 
 
@@ -61,6 +62,27 @@ def test_no_cache_writes_nothing(capsys, cache_dir):
     assert run(["--no-cache", "scan", "--m", "3", "--xmax", "13"]) == 0
     out_of(capsys)
     assert not (cache_dir / "v1" / "scan_m3_x13.json").exists()
+
+
+def test_cache_write_failing_mid_dump_leaves_nothing(capsys, cache_dir, monkeypatch):
+    def dump_half(obj, fh, **kwargs):
+        fh.write('{"key": "scan_m3_x13", "payl')
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli.json, "dump", dump_half)
+        assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
+    fresh = out_of(capsys)
+    assert list((cache_dir / "v1").iterdir()) == []
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
+    assert out_of(capsys) == fresh
+    entry = cache_dir / "v1" / "scan_m3_x13.json"
+    good = entry.read_text()
+    with monkeypatch.context() as mp:
+        mp.setattr(cli.json, "dump", dump_half)
+        cli.cache_put("scan_m3_x13", {"rows": []}, no_cache=False)
+    assert entry.read_text() == good  # the old entry survives a failed rewrite
+    assert [p.name for p in (cache_dir / "v1").iterdir()] == ["scan_m3_x13.json"]
 
 
 def test_indec_command(capsys, cache_dir):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quadpart.qfield import NotTotallyPositive, QuadInt, make_field
+from quadpart.qfield import InternalError, NotTotallyPositive, QuadInt, make_field
 from quadpart.indec import Decomp, indec_seq
 
 
@@ -136,6 +136,34 @@ def test_indecomposable_norm_bound_and_attainment():
         seq = indec_seq(d)
         assert all(1 <= seq.beta(j).norm() <= seq.ctx.c_d
                    for j in range(-seq.s_prime, 2 * seq.s_prime))
+
+
+def _linear_max_j(seq, x):
+    j = 0
+    if seq.beta(0).cmp_real(x) <= 0:
+        while seq.beta(j + 1).cmp_real(x) <= 0:
+            j += 1
+        return j
+    while seq.beta(j).cmp_real(x) > 0:
+        j -= 1
+    return j
+
+
+def test_max_j_real_leq_matches_linear_scan():
+    rng = random.Random(17)
+    for d in (2, 3, 5, 13, 94, 97):
+        seq = indec_seq(d)
+        for j in range(-40, 41):
+            b = seq.beta(j)
+            xs = [b, b + seq.beta(j + 1), b * 3,
+                  q(rng.randint(0, 10**6), rng.randint(-10**4, 10**4), d)]
+            for x in xs:
+                if x.ctx.sign_embedding(x.a, x.b) <= 0:
+                    continue
+                assert seq.max_j_real_leq(x) == _linear_max_j(seq, x), (d, j, x)
+            assert seq.max_j_real_leq(b) == j
+        with pytest.raises(InternalError):
+            seq.max_j_real_leq(q(-1, 0, d))
 
 
 def test_balanced_is_unit_multiple_with_small_skew():

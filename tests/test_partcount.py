@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadpart.qfield import BadIndex, NotTotallyPositive, QuadInt, make_field, sign_surd
+from quadpart.qfield import (
+    BadIndex,
+    NotTotallyPositive,
+    QuadInt,
+    floor_surd,
+    make_field,
+    sign_surd,
+)
 from quadpart.indec import indec_seq
+from quadpart.theorems import squarefree_range
 from quadpart.partcount import (
     CountResult,
     PartitionCounter,
@@ -25,6 +33,7 @@ from quadpart.partcount import (
     pk_indec,
     six_or_nine_witness,
     _desc_real,
+    _support_tuples,
 )
 
 
@@ -51,6 +60,53 @@ def test_parts_leq_examples():
     assert got == [q(4, 2, 2), q(3, 2, 2), q(2, 1, 2), q(1, 0, 2)]
     with pytest.raises(NotTotallyPositive):
         parts_leq(q(1, 1, 2))
+
+
+def _squarest(seq, alpha):
+    """The unit multiple of alpha with least trace: lattice_leq scans about
+    trace/sqrt(delta) rows, and balanced() alone leaves a skew of up to
+    eps_plus^2 (1.8e13 for D=94)."""
+    ep = seq.units.eps_plus
+    bal = seq.balanced(alpha)
+    return min((bal * ep.conjugate(), bal, bal * ep), key=QuadInt.trace)
+
+
+def test_fan_support_matches_lattice_oracle():
+    # The fan walk against the structure-blind row scan, in order, on
+    # e*beta_j + f*beta_{j+1} for every field D <= 150: the corner shapes and
+    # one seeded (e, f) in [1, 5] x [0, 5] per j.  Unit multiples up to
+    # eps_plus^4 must give the same support size, and the same capped count.
+    rng = random.Random(150)
+    for d in squarefree_range(150):
+        seq = indec_seq(d)
+        ctx = seq.ctx
+        ep = seq.units.eps_plus
+        for j in range(-12, 12):
+            shapes = {(1, 0), (5, 5), (rng.randint(1, 5), rng.randint(0, 5))}
+            for e, f in sorted(shapes):
+                alpha = e * seq.beta(j) + f * seq.beta(j + 1)
+                x = _squarest(seq, alpha)
+                u, v = x.embedding_pair()
+                want = _desc_real(ctx, lattice_leq(ctx, (u, v), (u, -v)))
+                got = _support_tuples(x)
+                assert got == want, (d, j, e, f)
+                assert all(QuadInt(*p, ctx).cmp_real(QuadInt(*r, ctx)) > 0
+                           for p, r in zip(got, got[1:])), (d, j, e, f)
+                count = PartitionCounter(ctx, want, cap=8).count(x)
+                want_pk = exact(count) if count <= 8 else CountResult.at_least(9)
+                for k in range(5):
+                    assert len(_support_tuples(alpha)) == len(want), (d, j, e, f, k)
+                    if k in (0, 4):
+                        assert pk(alpha, cap=8) == want_pk, (d, j, e, f, k)
+                    alpha = alpha * ep
+
+
+def test_lopsided_support_needs_no_balancing():
+    # 73549 + 7586*sqrt(94) spans about 7,600 lattice rows for 11 points.
+    alpha = q(73549, 7586, 94)
+    assert alpha.norm() == 177
+    assert len(parts_leq(alpha)) == 11
+    assert pk(alpha) == exact(19)
 
 
 def test_parts_leq_matches_coordinate_rectangle_bruteforce():
@@ -425,6 +481,22 @@ def test_shared_counter_matches_fresh_calls():
     for coords in box:
         alpha = QuadInt(*coords, ctx)
         assert counter.count(alpha) == min(pk(alpha, cap=9).value, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 13, 94, 9001]),
+       st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(-2, 2)),
+                min_size=1, max_size=30))
+def test_desc_real_matches_exact_comparisons(d, raw):
+    ctx = make_field(d)
+    t, delta = ctx.tr_omega, ctx.delta
+    # a = off - floor(b*w) puts every real embedding in [off, off + 1), so
+    # distinct elements crowd together, down to gaps of about 1/|conj|
+    coords = [(off - floor_surd(t * b, b, 2, delta), b) for b, off in raw]
+    got = _desc_real(ctx, coords)
+    assert sorted(got) == sorted(coords)
+    for p, r in zip(got, got[1:]):
+        assert p == r or QuadInt(*p, ctx).cmp_real(QuadInt(*r, ctx)) > 0
 
 
 @settings(max_examples=200, deadline=None)
