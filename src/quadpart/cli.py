@@ -60,6 +60,31 @@ def _cache_path(key: str) -> str:
     return os.path.join(cache_dir(), f"v{SCHEMA_VERSION}", key + ".json")
 
 
+_fingerprint: Optional[str] = None
+
+
+def code_fingerprint() -> str:
+    """SHA-256 of this package's .py sources, read once per process.
+
+    Each cache entry stores it, so an entry computed by other code is a miss.
+    """
+    global _fingerprint
+    if _fingerprint is None:
+        try:  # CPython's own SHA-256: hashlib loads OpenSSL, about 3.5 MB of RSS
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+        pkg = os.path.dirname(os.path.abspath(__file__))
+        h = sha256()
+        for name in sorted(n for n in os.listdir(pkg) if n.endswith(".py")):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                source = fh.read()
+            h.update(f"{name}\0{len(source)}\0".encode())
+            h.update(source)
+        _fingerprint = h.hexdigest()
+    return _fingerprint
+
+
 def cache_get(key: str, no_cache: bool) -> Optional[dict]:
     if no_cache:
         return None
@@ -69,7 +94,7 @@ def cache_get(key: str, no_cache: bool) -> Optional[dict]:
             entry = json.load(fh)
     except (OSError, ValueError):
         return None
-    if entry.get("version") != SCHEMA_VERSION:
+    if entry.get("version") != SCHEMA_VERSION or entry.get("code") != code_fingerprint():
         return None
     return entry.get("payload")
 
@@ -84,8 +109,8 @@ def cache_put(key: str, payload: dict, no_cache: bool) -> None:
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"version": SCHEMA_VERSION, "key": key, "payload": payload},
-                          fh, sort_keys=True)
+                json.dump({"version": SCHEMA_VERSION, "code": code_fingerprint(),
+                           "key": key, "payload": payload}, fh, sort_keys=True)
             os.replace(tmp, path)  # readers see the old entry or the whole new one
         finally:
             if os.path.exists(tmp):

@@ -179,15 +179,24 @@ class PartitionCounter:
     shared, which is sound because the count of (remainder, start index) is
     independent of the query that reached it.  With a cap, every stored and
     returned value saturates at cap+1.
+
+    The part list is a chain when its conjugate embeddings strictly ascend,
+    as they do for a run of consecutive indecomposables.  On a chain the
+    descent stops at the first part that does not fit the remainder: every
+    part it tries has real embedding at most the remainder's, so a miss means
+    the conjugate is too large, and every later part's conjugate is larger.
     """
 
     def __init__(self, ctx: FieldCtx, parts: list[tuple[int, int]], cap: Optional[int]):
         self.ctx = ctx
         self.parts = parts
         self.cap = cap
-        t = ctx.tr_omega
-        self._us = [2 * a + t * b for a, b in parts]
-        self._vs = [b for _, b in parts]
+        t, delta = ctx.tr_omega, ctx.delta
+        self._us = us = [2 * a + t * b for a, b in parts]
+        self._vs = vs = [b for _, b in parts]
+        # conj(p_{k+1}) - conj(p_k) = (du - dv*sqrt(delta))/2; stop at the first descent
+        self.chain = all(sign_surd(us[k + 1] - us[k], vs[k] - vs[k + 1], delta) > 0
+                         for k in range(len(parts) - 1))
         self._memo: dict = {}
         self._ff: dict = {}
 
@@ -231,7 +240,7 @@ class PartitionCounter:
         val = memo.get(key)
         if val is not None:
             return val
-        parts, us = self.parts, self._us
+        parts, us, chain = self.parts, self._us, self.chain
         cap = self.cap
         sat = None if cap is None else cap + 1
         total = 0
@@ -245,6 +254,11 @@ class PartitionCounter:
             # so it is totally positive iff ur - us[k] - |db|*sqrt(delta) > 0
             elif sign_surd(ur - us[k], -abs(db), delta) > 0:
                 total += self._ways(da, db, k)
+            # k >= _first_fit, so real(p_k) <= real(r) and equality means
+            # p_k = r: a miss here has conj(p_k) >= conj(r), and on a chain
+            # every later part has a larger conjugate still
+            elif chain:
+                break
             if sat is not None and total >= sat:
                 total = sat
                 break

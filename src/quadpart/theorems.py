@@ -110,10 +110,12 @@ def _shared_indec_counter(seq: IndecSeq, m: int, cap: int) -> "PartitionCounter"
     """One capped counter over every indecomposable that can appear in a
     partition of any candidate from low_count_candidates(seq, m).
 
-    Parts that do not fit a particular remainder are skipped by the counter
-    itself, so a support that covers the componentwise embedding maximum of
-    the candidate corners is valid for every candidate at once, and the memo
-    is shared across them.
+    The counter itself starts each descent at the first part whose real
+    embedding fits the remainder and stops at the first part whose conjugate
+    does not (the parts are consecutive indecomposables, so their conjugates
+    ascend).  A support that covers the componentwise embedding maximum of
+    the candidate corners is therefore valid for every candidate at once,
+    and the memo is shared across them.
     """
     corners = []
     for j in range(seq.s_prime):

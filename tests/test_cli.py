@@ -58,6 +58,20 @@ def test_stale_cache_entries_are_ignored(capsys, cache_dir):
     assert out_of(capsys) == good  # corrupt entries are ignored too
 
 
+def test_entries_from_other_code_are_recomputed(capsys, cache_dir):
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
+    good = out_of(capsys)
+    path = cache_dir / "v1" / "scan_m3_x13.json"
+    entry = json.loads(path.read_text())
+    assert entry["code"] == cli.code_fingerprint()
+    entry["code"] = "0" * 64  # as if written by an older version of the package
+    entry["payload"]["rows"] = []
+    path.write_text(json.dumps(entry))
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
+    assert out_of(capsys) == good
+    assert json.loads(path.read_text())["code"] == cli.code_fingerprint()
+
+
 def test_no_cache_writes_nothing(capsys, cache_dir):
     assert run(["--no-cache", "scan", "--m", "3", "--xmax", "13"]) == 0
     out_of(capsys)

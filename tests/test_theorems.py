@@ -2,9 +2,19 @@ import sys
 
 import pytest
 
-from quadpart.qfield import BadIndex, QuadInt, make_field
+from quadpart import partcount
+from quadpart.qfield import BadIndex, QuadInt, make_field, sign_surd
 from quadpart.indec import indec_seq
-from quadpart.partcount import CountResult, pk, pk_indec, partition_count_int
+from quadpart.partcount import (
+    CountResult,
+    PartitionCounter,
+    indec_support,
+    list_partitions,
+    partition_count_int,
+    pk,
+    pk_indec,
+    _support_tuples,
+)
 from quadpart.theorems import (
     density_report,
     first_n_squarefree,
@@ -16,6 +26,7 @@ from quadpart.theorems import (
     squarefree_range,
     value_attained,
     verify_norm_bound,
+    _shared_indec_counter,
 )
 
 
@@ -98,6 +109,43 @@ def test_lopsided_decision_has_no_cliff():
     # Its candidates are lopsided: scanning their supports row by row took
     # minutes, walking them over the fan takes a fraction of a second.
     assert value_attained(94, 35) == (False, None)
+
+
+def test_restricted_count_has_no_cliff(monkeypatch):
+    # Nearly every total-positivity test of this run fails; on a chain of
+    # indecomposables the counter stops at the first failure instead of
+    # trying every later part (5.96 M sign_surd calls without the exit).
+    calls = 0
+
+    def counting(u, v, delta):
+        nonlocal calls
+        calls += 1
+        return sign_surd(u, v, delta)
+
+    monkeypatch.setattr(partcount, "sign_surd", counting)
+    assert verify_norm_bound(9001, "hk10").ok
+    assert calls < 500_000
+
+
+def test_chain_exit_matches_full_scan_oracle():
+    # list_partitions tries every part after a miss.  Restricted part lists
+    # are chains and stop at the first miss; full supports are not chains
+    # and must keep scanning, so both are checked against the oracle.
+    ctx = make_field(2)
+    assert not PartitionCounter(ctx, _support_tuples(QuadInt(4, 2, ctx)), None).chain
+    for d in squarefree_range(60):
+        seq = indec_seq(d)
+        for m in (1, 2, 3):
+            counter = _shared_indec_counter(seq, m, cap=m)
+            assert counter.chain
+            for _, _, _, alpha in low_count_candidates(seq, m):
+                ways = list_partitions(alpha, indec_only=True, limit=m + 1)
+                want = min(len(ways), m + 1)
+                assert counter.count(alpha) == want, (d, m, alpha)
+                assert PartitionCounter(seq.ctx, indec_support(alpha), None).chain
+                if m == 1:
+                    want = min(len(list_partitions(alpha, limit=9)), 9)
+                    assert pk(alpha, cap=8).value == want, (d, alpha)
 
 
 def test_value_attained_witness_is_unit_invariant():
