@@ -70,10 +70,13 @@ def code_fingerprint() -> str:
     """
     global _fingerprint
     if _fingerprint is None:
-        try:  # CPython's own SHA-256: hashlib loads OpenSSL, about 3.5 MB of RSS
+        try:  # CPython's own SHA-256 (_sha2 from 3.12): hashlib loads OpenSSL, ~3.5 MB RSS
             from _sha256 import sha256
         except ImportError:
-            from hashlib import sha256
+            try:
+                from _sha2 import sha256
+            except ImportError:
+                from hashlib import sha256
         pkg = os.path.dirname(os.path.abspath(__file__))
         h = sha256()
         for name in sorted(n for n in os.listdir(pkg) if n.endswith(".py")):
@@ -94,7 +97,8 @@ def cache_get(key: str, no_cache: bool) -> Optional[dict]:
             entry = json.load(fh)
     except (OSError, ValueError):
         return None
-    if entry.get("version") != SCHEMA_VERSION or entry.get("code") != code_fingerprint():
+    if (not isinstance(entry, dict) or entry.get("version") != SCHEMA_VERSION
+            or entry.get("code") != code_fingerprint()):
         return None
     return entry.get("payload")
 

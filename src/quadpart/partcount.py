@@ -175,9 +175,11 @@ class PartitionCounter:
     """Counts multisets of a fixed descending part list summing to a target.
 
     Parts must be totally positive and sorted descending by real embedding.
-    The same instance may be reused across many targets; the memo table is
-    shared, which is sound because the count of (remainder, start index) is
-    independent of the query that reached it.  With a cap, every stored and
+    After _first_fit, a state counts partitions of the remainder r into the
+    parts gamma <= r up to the cutoff part in real order, whatever the list,
+    as long as it holds supp(r), as supp(alpha) for every alpha >= r does.
+    So the memo is keyed on (r, cutoff part), None past the end, and full
+    supports of one field and cap may share it.  With a cap, every stored and
     returned value saturates at cap+1.
 
     The part list is a chain when its conjugate embeddings strictly ascend,
@@ -197,6 +199,7 @@ class PartitionCounter:
         # conj(p_{k+1}) - conj(p_k) = (du - dv*sqrt(delta))/2; stop at the first descent
         self.chain = all(sign_surd(us[k + 1] - us[k], vs[k] - vs[k + 1], delta) > 0
                          for k in range(len(parts) - 1))
+        self._cutoffs = parts + [None]
         self._memo: dict = {}
         self._ff: dict = {}
 
@@ -235,7 +238,7 @@ class PartitionCounter:
         i0 = self._first_fit(ur, rb)
         if i0 > i:
             i = i0
-        key = (ra, rb, i)
+        key = (ra, rb, self._cutoffs[i])
         memo = self._memo
         val = memo.get(key)
         if val is not None:
@@ -267,15 +270,19 @@ class PartitionCounter:
 
 
 def _count(alpha: QuadInt, support: Callable[[QuadInt], list[tuple[int, int]]],
-           cap: Optional[int]) -> CountResult:
-    """Partitions of alpha into the parts support(alpha) lists, saturated above cap."""
+           cap: Optional[int], memo: Optional[dict] = None) -> CountResult:
+    """Partitions of alpha into the parts support(alpha) lists, saturated above
+    cap; a given memo is shared with other calls of one field, cap and support."""
     if cap is not None and cap < 0:
         raise BadIndex(f"cap must be >= 0, got {cap}")
     if alpha.is_zero():
         return CountResult.exactly(1)
     if not alpha.is_totally_positive():
         raise NotTotallyPositive(f"{alpha} is not totally positive")
-    count = PartitionCounter(alpha.ctx, support(alpha), cap).count(alpha)
+    counter = PartitionCounter(alpha.ctx, support(alpha), cap)
+    if memo is not None:
+        counter._memo = memo
+    count = counter.count(alpha)
     if cap is not None and count > cap:
         return CountResult.at_least(cap + 1)
     return CountResult.exactly(count)

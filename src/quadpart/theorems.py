@@ -24,6 +24,8 @@ from .indec import IndecSeq, indec_seq
 from .partcount import (
     CountResult,
     PartitionCounter,
+    _count,
+    _support_tuples,
     exists_six_partitions,
     gen_two_indec_partitions,
     partition_count_int,
@@ -98,14 +100,6 @@ def low_count_candidates(seq: IndecSeq, m: int):
                 yield j, e, f, base + f * bj1
 
 
-def _max_by_real(items: list[QuadInt]) -> QuadInt:
-    best = items[0]
-    for it in items[1:]:
-        if it.cmp_real(best) > 0:
-            best = it
-    return best
-
-
 def _shared_indec_counter(seq: IndecSeq, m: int, cap: int) -> "PartitionCounter":
     """One capped counter over every indecomposable that can appear in a
     partition of any candidate from low_count_candidates(seq, m).
@@ -115,17 +109,51 @@ def _shared_indec_counter(seq: IndecSeq, m: int, cap: int) -> "PartitionCounter"
     does not (the parts are consecutive indecomposables, so their conjugates
     ascend).  A support that covers the componentwise embedding maximum of
     the candidate corners is therefore valid for every candidate at once,
-    and the memo is shared across them.
+    and the memo is shared across them.  By v_j*beta_j = beta_{j-1} +
+    beta_{j+1}, corner j is m*beta_{j-1} + (m-1)*(beta_j + beta_{j+1}) +
+    m*beta_{j+2}, so the last corner of the period has the largest real
+    embedding and the first the largest conjugate.
     """
-    corners = []
-    for j in range(seq.s_prime):
-        c = (m * seq.v(j) - 1) * seq.beta(j) + (m * seq.v(j + 1) - 1) * seq.beta(j + 1)
-        corners.append(c)
-    big_real = _max_by_real(corners)
-    big_conj = _max_by_real([c.conjugate() for c in corners])
-    rows = seq.indec_window_leq(big_real, big_conj)
+
+    def corner(j: int) -> QuadInt:
+        return (m * seq.v(j) - 1) * seq.beta(j) + (m * seq.v(j + 1) - 1) * seq.beta(j + 1)
+
+    rows = seq.indec_window_leq(corner(seq.s_prime - 1), corner(0).conjugate())
     parts = [(b.a, b.b) for _, b in reversed(rows)]  # descending real value
     return PartitionCounter(seq.ctx, parts, cap)
+
+
+def _low_counts(seq: IndecSeq, m: int):
+    """Yield (k, alpha) for each candidate alpha of low_count_candidates(seq, m)
+    with exactly k <= m partitions, in the order of that box.
+
+    Candidates are discarded without counting only when an exact lower bound
+    already exceeds m: p(e)*p(f) many partitions exist by splitting
+    e*beta_j and f*beta_{j+1} separately into multiples of beta_j and
+    beta_{j+1}, and partitions into indecomposable parts undercount all
+    partitions.  A candidate with exactly k partitions passes the screens for
+    k and lies in the box for k, so the first k yielded is the first hit of
+    that box.  The full counts of one generator share one memo.
+    """
+    indec_counter = _shared_indec_counter(seq, m, cap=m)
+    memo: dict = {}
+    for j in range(seq.s_prime):
+        vj, vj1 = seq.v(j), seq.v(j + 1)
+        bj, bj1 = seq.beta(j), seq.beta(j + 1)
+        for e in range(1, m * vj):
+            pe = partition_count_int(e)
+            if pe > m:
+                break  # p(e) is nondecreasing in e
+            base = e * bj
+            for f in range(0, m * vj1):
+                if pe * partition_count_int(f) > m:
+                    break  # nondecreasing in f
+                alpha = base + f * bj1
+                if indec_counter.count(alpha) > m:
+                    continue  # more than m restricted partitions
+                r = _count(alpha, _support_tuples, m, memo)
+                if r.exact:
+                    yield r.value, alpha
 
 
 @dataclass
@@ -243,36 +271,13 @@ def value_attained(d: int, m: int) -> tuple[bool, Optional[QuadInt]]:
     Complete: an element with m partitions has at most m indecomposable-part
     partitions, hence a unit multiple of it appears in the candidate box of
     low_count_candidates.  Counts are invariant under that unit action, so
-    evaluating the capped oracle on every candidate and returning the first
-    exact hit decides membership.
-    Candidates are discarded without counting only when an exact lower bound
-    already exceeds m: p(e)*p(f) many partitions exist by splitting
-    e*beta_j and f*beta_{j+1} separately into multiples of beta_j and
-    beta_{j+1}, and partitions into indecomposable parts undercount all
-    partitions.
+    the first candidate of the box with exactly m partitions (see
+    _low_counts) decides membership and is returned as the witness.
     """
     if m < 1:
         raise BadIndex(f"m must be >= 1, got {m}")
-    seq = indec_seq(d)
-    indec_counter = _shared_indec_counter(seq, m, cap=m)
-    for j in range(seq.s_prime):
-        vj, vj1 = seq.v(j), seq.v(j + 1)
-        bj, bj1 = seq.beta(j), seq.beta(j + 1)
-        for e in range(1, m * vj):
-            pe = partition_count_int(e)
-            if pe > m:
-                break  # p(e) is nondecreasing in e
-            base = e * bj
-            for f in range(0, m * vj1):
-                if pe * partition_count_int(f) > m:
-                    break  # nondecreasing in f
-                alpha = base + f * bj1
-                if indec_counter.count(alpha) > m:
-                    continue  # more than m restricted partitions
-                r = pk(alpha, cap=m)
-                if r.exact and r.value == m:
-                    return True, alpha
-    return False, None
+    witness = next((alpha for k, alpha in _low_counts(indec_seq(d), m) if k == m), None)
+    return witness is not None, witness
 
 
 def scan_missing_value(m: int, x: int) -> list[int]:
@@ -315,7 +320,8 @@ class DensityReport:
 
 def density_report(m: int, x: int) -> DensityReport:
     """Exact census of fields missing some count k <= m, with the analytic
-    right-hand side reported (never asserted) alongside."""
+    right-hand side reported (never asserted) alongside.  One pass of
+    _low_counts per field decides every k <= m: k is attained iff it is yielded."""
     if m < 4:
         raise BadIndex(f"density report needs m >= 4, got {m}")
     if x < 2:
@@ -323,11 +329,14 @@ def density_report(m: int, x: int) -> DensityReport:
     members: list[int] = []
     missing: dict[int, int] = {}
     for d in squarefree_range(x):
-        for k in range(1, m + 1):
-            if not value_attained(d, k)[0]:
-                members.append(d)
-                missing[d] = k
+        seen = set()
+        for k, _ in _low_counts(indec_seq(d), m):
+            seen.add(k)
+            if len(seen) == m:
                 break
+        else:
+            members.append(d)
+            missing[d] = min(set(range(1, m + 1)) - seen)
     rhs = 100 * (2 * m - 5) ** 1.5 * math.log(x) ** 1.5 * x ** 0.875
     hypothesis = x >= (2 * m - 5) ** 12 * math.log(x) ** 4
     return DensityReport(m, x, members, missing, rhs, hypothesis)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -56,6 +58,28 @@ def test_stale_cache_entries_are_ignored(capsys, cache_dir):
     path.write_text("not json at all")
     assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     assert out_of(capsys) == good  # corrupt entries are ignored too
+
+
+def test_cache_entries_that_are_not_objects_are_ignored(capsys, cache_dir):
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
+    good = out_of(capsys)
+    path = cache_dir / "v1" / "scan_m3_x13.json"
+    for text in ("[]", "null", "13", '"scan"'):  # valid JSON, but no entry
+        path.write_text(text)
+        assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
+        assert out_of(capsys) == good, text
+
+
+def test_fingerprint_does_not_import_hashlib():
+    # hashlib loads OpenSSL, about 3.5 MB of RSS in every cached scan
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; from quadpart import cli; print(cli.code_fingerprint()); "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.split() == [cli.code_fingerprint(), "[]"]
 
 
 def test_entries_from_other_code_are_recomputed(capsys, cache_dir):

@@ -1,9 +1,10 @@
 import sys
+from functools import cmp_to_key
 
 import pytest
 
 from quadpart import partcount
-from quadpart.qfield import BadIndex, QuadInt, make_field, sign_surd
+from quadpart.qfield import BadIndex, QuadInt, make_field, sign_surd, _is_squarefree
 from quadpart.indec import indec_seq
 from quadpart.partcount import (
     CountResult,
@@ -26,6 +27,7 @@ from quadpart.theorems import (
     squarefree_range,
     value_attained,
     verify_norm_bound,
+    _low_counts,
     _shared_indec_counter,
 )
 
@@ -35,6 +37,11 @@ def test_squarefree_range():
     assert squarefree_range(1) == []
     assert first_n_squarefree(5) == [2, 3, 5, 6, 7]
     assert len(first_n_squarefree(50)) == 50
+
+
+def test_squarefree_tests_agree():
+    # make_field checks one D by trial division, scans sieve a range
+    assert [n for n in range(2, 20001) if _is_squarefree(n)] == squarefree_range(20000)
 
 
 def test_norm_bound_values():
@@ -127,6 +134,39 @@ def test_restricted_count_has_no_cliff(monkeypatch):
     assert calls < 500_000
 
 
+def test_density_census_has_no_cliff(monkeypatch):
+    # One pass per field with one restricted counter and one full-count memo
+    # (369,599 sign_surd calls with a pass and a fresh memo per k and per pk).
+    calls = 0
+
+    def counting(u, v, delta):
+        nonlocal calls
+        calls += 1
+        return sign_surd(u, v, delta)
+
+    monkeypatch.setattr(partcount, "sign_surd", counting)
+    density_report(6, 300)
+    assert calls < 300_000
+
+
+def _all_corners_window(seq, m):
+    # Oracle: the componentwise maxima found by comparing every corner of the
+    # period, without using that their embeddings are monotone in j.
+    by_real = cmp_to_key(QuadInt.cmp_real)
+    corners = [(m * seq.v(j) - 1) * seq.beta(j) + (m * seq.v(j + 1) - 1) * seq.beta(j + 1)
+               for j in range(seq.s_prime)]
+    big_real = max(corners, key=by_real)
+    big_conj = max((c.conjugate() for c in corners), key=by_real)
+    return [(b.a, b.b) for _, b in reversed(seq.indec_window_leq(big_real, big_conj))]
+
+
+def test_shared_counter_parts_match_all_corners_oracle():
+    for d in squarefree_range(300):
+        seq = indec_seq(d)
+        for m in (1, 2, 3, 6, 11, 20):
+            assert _shared_indec_counter(seq, m, cap=m).parts == _all_corners_window(seq, m), (d, m)
+
+
 def test_chain_exit_matches_full_scan_oracle():
     # list_partitions tries every part after a miss.  Restricted part lists
     # are chains and stop at the first miss; full supports are not chains
@@ -204,3 +244,44 @@ def test_density_membership_is_set_union_of_scans():
     for k in range(1, 7):
         union.update(scan_missing_value(k, x))
     assert set(rep.members) == union
+
+
+def _fresh_low_counts(seq, m):
+    # Oracle: the m-box walk with a fresh counter for every full count and no
+    # restricted screen (a candidate it would cut has more than m partitions).
+    out = []
+    for j in range(seq.s_prime):
+        for e in range(1, m * seq.v(j)):
+            if partition_count_int(e) > m:
+                break
+            for f in range(0, m * seq.v(j + 1)):
+                if partition_count_int(e) * partition_count_int(f) > m:
+                    break
+                alpha = e * seq.beta(j) + f * seq.beta(j + 1)
+                r = pk(alpha, cap=m)
+                if r.exact:
+                    out.append((r.value, alpha))
+    return out
+
+
+def test_shared_memo_walk_matches_fresh_counts():
+    for d in squarefree_range(100):
+        seq = indec_seq(d)
+        for m in (1, 2, 4, 6, 11):
+            want = _fresh_low_counts(seq, m)
+            assert list(_low_counts(seq, m)) == want, (d, m)
+            witness = next((alpha for k, alpha in want if k == m), None)
+            assert value_attained(d, m) == (witness is not None, witness), (d, m)
+
+
+def test_single_pass_density_matches_per_k_decisions():
+    x = 60
+    for m in (4, 6, 8):
+        missing = {}
+        for d in squarefree_range(x):
+            k = next((k for k in range(1, m + 1) if not value_attained(d, k)[0]), None)
+            if k is not None:
+                missing[d] = k
+        rep = density_report(m, x)
+        assert rep.members == sorted(missing), m
+        assert rep.missing == missing, m
