@@ -1,12 +1,17 @@
 """Command-line front end: field queries, counting, generators, verification,
 scans, and density reports, with JSON/CSV output.  Scan results are cached
 on disk; in memory, state is kept only for the most recently used fields.
+Scans and density reports decide one field per job through
+theorems.map_fields, which forks worker processes for long field lists and
+returns the results in ascending D; only this process reads or writes the
+cache.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -36,6 +41,7 @@ from .partcount import (
 )
 from .theorems import (
     density_report,
+    map_fields,
     partition_range_witnesses,
     squarefree_range,
     value_attained,
@@ -253,22 +259,23 @@ def _cmd_verify(args) -> int:
     return 0 if rep.ok else CHECK_FAILED
 
 
+def _scan_row(d: int, m: int, fast6: bool) -> dict:
+    if fast6:
+        ok, w = exists_six_partitions(d), None
+    else:
+        ok, w = value_attained(d, m)
+    return {
+        "D": d,
+        "m": m,
+        "in_range": ok,
+        "witness_a": str(w.a) if w is not None else "",
+        "witness_b": str(w.b) if w is not None else "",
+        "pk": str(m) if ok and not fast6 else "",
+    }
+
+
 def _scan_rows(m: int, xmax: int, fast6: bool) -> list[dict]:
-    rows = []
-    for d in squarefree_range(xmax):
-        if fast6:
-            ok, w = exists_six_partitions(d), None
-        else:
-            ok, w = value_attained(d, m)
-        rows.append({
-            "D": d,
-            "m": m,
-            "in_range": ok,
-            "witness_a": str(w.a) if w is not None else "",
-            "witness_b": str(w.b) if w is not None else "",
-            "pk": str(m) if ok and not fast6 else "",
-        })
-    return rows
+    return map_fields(functools.partial(_scan_row, m=m, fast6=fast6), squarefree_range(xmax))
 
 
 def _cmd_scan(args) -> int:

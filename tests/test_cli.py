@@ -70,16 +70,32 @@ def test_cache_entries_that_are_not_objects_are_ignored(capsys, cache_dir):
         assert out_of(capsys) == good, text
 
 
-def test_fingerprint_does_not_import_hashlib():
-    # hashlib loads OpenSSL, about 3.5 MB of RSS in every cached scan
+def _fresh_interpreter(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
+
+
+def test_fingerprint_does_not_import_hashlib():
+    # hashlib loads OpenSSL, about 3.5 MB of RSS in every cached scan
     code = ("import sys; from quadpart import cli; print(cli.code_fingerprint()); "
             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.split() == [cli.code_fingerprint(), "[]"]
+    assert _fresh_interpreter(code).split() == [cli.code_fingerprint(), "[]"]
+
+
+def test_commands_do_not_import_the_pool():
+    # The pool is imported only when a scan fans out: loading multiprocessing
+    # and concurrent.futures costs every other command ~25 ms and 2.6 MB RSS
+    code = ("import contextlib, io, sys; import quadpart, quadpart.cli\n"
+            "def pool(): return sorted(m for m in sys.modules\n"
+            "                          if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+            "print(pool())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = quadpart.cli.run(['verify', '9001', '--bound', 'hk10'])\n"
+            "print(code, pool())\n")
+    assert _fresh_interpreter(code).splitlines() == ["[]", "0 []"]
 
 
 def test_entries_from_other_code_are_recomputed(capsys, cache_dir):

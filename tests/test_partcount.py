@@ -511,3 +511,20 @@ def test_first_fit_matches_linear_scan(d, n, a, b, pick):
     want = next((k for k, p in enumerate(parts)
                  if QuadInt(*p, ctx).cmp_real(x) <= 0), len(parts))
     assert counter._first_fit(*x.embedding_pair()) == want
+
+
+# PartitionCounter.count raises the recursion limit to the trace of alpha,
+# which Hypothesis reports once per example; the limit itself is intended.
+@pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(squarefree_range(50)), st.integers(-8, 8), st.integers(1, 4),
+       st.integers(0, 4))
+def test_pk_is_invariant_under_the_unit_and_conjugation(d, j, e, f):
+    # Multiplying by eps_plus and conjugating both map the totally positive
+    # elements onto themselves and keep sums, so each carries the partitions
+    # of alpha one-to-one onto those of its image.  No balancing is applied.
+    seq = indec_seq(d)
+    alpha = e * seq.beta(j) + f * seq.beta(j + 1)
+    want = pk(alpha, cap=30)
+    assert pk(alpha * seq.units.eps_plus, cap=30) == want
+    assert pk(alpha.conjugate(), cap=30) == want

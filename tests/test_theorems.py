@@ -17,6 +17,7 @@ from quadpart.partcount import (
     _support_tuples,
 )
 from quadpart.theorems import (
+    FIELDS_PER_WORKER,
     density_report,
     first_n_squarefree,
     low_count_candidates,
@@ -144,6 +145,8 @@ def test_density_census_has_no_cliff(monkeypatch):
         calls += 1
         return sign_surd(u, v, delta)
 
+    # The patch is not seen by forked workers, so the census must run in-process.
+    assert len(squarefree_range(300)) < 2 * FIELDS_PER_WORKER
     monkeypatch.setattr(partcount, "sign_surd", counting)
     density_report(6, 300)
     assert calls < 300_000
