@@ -252,8 +252,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.bound == "n" and args.m is None:
-        raise BadIndex("--bound n requires --m")
     rep = verify_norm_bound(args.D, args.bound, args.m)
     print(_dump(rep.to_json()))
     return 0 if rep.ok else CHECK_FAILED
@@ -279,6 +277,8 @@ def _scan_rows(m: int, xmax: int, fast6: bool) -> list[dict]:
 
 
 def _cmd_scan(args) -> int:
+    if args.m < 1:  # checked here too: a scan of no fields checks no m
+        raise BadIndex(f"m must be >= 1, got {args.m}")
     if args.fast6 and args.m != 6:
         raise BadIndex("--fast6 only applies to --m 6")
     key = f"scan_m{args.m}_x{args.xmax}" + ("_fast6" if args.fast6 else "")

@@ -133,7 +133,8 @@ def low_count_candidates(seq: IndecSeq, m: int):
     at least m more times, giving m+1 distinct indecomposable-part
     partitions; same for f >= m*v_{j+1}.  Multiplying by the totally positive
     unit shifts j by the period length, so j ranges over one period.
-    Yields (j, e, f, alpha).
+    Yields (j, e, f, alpha).  This is the definition of the box that
+    _staircase walks, and the tests' oracle for that walk.
     """
     if m < 1:
         raise BadIndex(f"m must be >= 1, got {m}")
@@ -144,6 +145,35 @@ def low_count_candidates(seq: IndecSeq, m: int):
             base = e * bj
             for f in range(0, m * vj1):
                 yield j, e, f, base + f * bj1
+
+
+def _staircase(seq: IndecSeq, m: int, count: Callable[[int, int, QuadInt], int]):
+    """Yield (k, alpha) for each candidate of low_count_candidates(seq, m), in
+    the order of that box, with k = count(e, f, alpha) <= m.
+
+    count returns a partition count (full or restricted, as the caller
+    counts) or a lower bound of it, so a value above m means more than m
+    partitions.  Adding beta_j or beta_{j+1} as one more part maps the
+    partitions of alpha one-to-one into those of the sum, and both are
+    indecomposable, so both counts grow with e and f: once (e, f) has more
+    than m, so has every (e', f') with e' >= e and f' >= f.  So that f-row
+    ends there, no later e-row of this j goes past f, and the e-loop ends
+    when f = 0 fails; every candidate skipped has more than m partitions.
+    """
+    for j in range(seq.s_prime):
+        bj, bj1 = seq.beta(j), seq.beta(j + 1)
+        f_end = m * seq.v(j + 1)
+        for e in range(1, m * seq.v(j)):
+            base = e * bj
+            for f in range(f_end):
+                alpha = base + f * bj1
+                k = count(e, f, alpha)
+                if k > m:
+                    f_end = f
+                    break
+                yield k, alpha
+            if f_end == 0:
+                break
 
 
 def _shared_indec_counter(seq: IndecSeq, m: int, cap: int) -> "PartitionCounter":
@@ -173,33 +203,25 @@ def _low_counts(seq: IndecSeq, m: int):
     """Yield (k, alpha) for each candidate alpha of low_count_candidates(seq, m)
     with exactly k <= m partitions, in the order of that box.
 
-    Candidates are discarded without counting only when an exact lower bound
-    already exceeds m: p(e)*p(f) many partitions exist by splitting
+    The staircase walk ends a row at the first candidate that an exact lower
+    bound puts above m: p(e)*p(f) many partitions exist by splitting
     e*beta_j and f*beta_{j+1} separately into multiples of beta_j and
-    beta_{j+1}, and partitions into indecomposable parts undercount all
-    partitions.  A candidate with exactly k partitions passes the screens for
-    k and lies in the box for k, so the first k yielded is the first hit of
-    that box.  The full counts of one generator share one memo.
+    beta_{j+1}, partitions into indecomposable parts undercount all
+    partitions, and the full count capped at m is the last check.  A
+    candidate with exactly k partitions passes the screens for k and lies in
+    the box for k, so the first k yielded is the first hit of that box.  The
+    full counts of one generator share one memo.
     """
     indec_counter = _shared_indec_counter(seq, m, cap=m)
     memo: dict = {}
-    for j in range(seq.s_prime):
-        vj, vj1 = seq.v(j), seq.v(j + 1)
-        bj, bj1 = seq.beta(j), seq.beta(j + 1)
-        for e in range(1, m * vj):
-            pe = partition_count_int(e)
-            if pe > m:
-                break  # p(e) is nondecreasing in e
-            base = e * bj
-            for f in range(0, m * vj1):
-                if pe * partition_count_int(f) > m:
-                    break  # nondecreasing in f
-                alpha = base + f * bj1
-                if indec_counter.count(alpha) > m:
-                    continue  # more than m restricted partitions
-                r = _count(alpha, _support_tuples, m, memo)
-                if r.exact:
-                    yield r.value, alpha
+
+    def count(e: int, f: int, alpha: QuadInt) -> int:
+        if (partition_count_int(e) * partition_count_int(f) > m
+                or indec_counter.count(alpha) > m):
+            return m + 1
+        return _count(alpha, _support_tuples, m, memo).value  # m + 1 when saturated
+
+    return _staircase(seq, m, count)
 
 
 @dataclass
@@ -240,9 +262,15 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
     n:    every candidate with at most m such partitions, strictly below.
     n2:   every generated two-partition element, and independently every
           candidate whose capped count is exactly 2, strictly below.
+
+    Only kind 'n' takes m.  The candidates come from low_count_candidates
+    with mm = 1, m or 2, in its order; _staircase skips only those with more
+    than mm restricted partitions, which none of the checks takes.
     """
     if kind not in BOUND_KINDS:
         raise BadIndex(f"unknown bound kind {kind!r}")
+    if kind != "n" and m is not None:
+        raise BadIndex(f"bound kind {kind!r} takes no m")
     seq = indec_seq(d)
     ctx = seq.ctx
     bound = norm_bound(ctx, kind, m)
@@ -261,22 +289,10 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
             check(seq.beta(j), strict=False)
         return report
 
-    if kind == "hk10":
-        mm = 1
-    elif kind == "n":
-        if m is None or m < 1:
-            raise BadIndex("bound kind 'n' needs m >= 1")
-        mm = m
-    else:
-        mm = 2
-
+    mm = {"hk10": 1, "n": m, "n2": 2}[kind]
     counter = _shared_indec_counter(seq, mm, cap=mm)
-    for _, _, _, alpha in low_count_candidates(seq, mm):
-        c = counter.count(alpha)
-        if kind == "n2":
-            if c == 2:
-                check(alpha)
-        elif c <= mm:
+    for c, alpha in _staircase(seq, mm, lambda e, f, alpha: counter.count(alpha)):
+        if kind != "n2" or c == 2:
             check(alpha)
     if kind == "n2":
         s = seq.cf.s

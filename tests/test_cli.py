@@ -221,5 +221,8 @@ def test_usage_errors(capsys, cache_dir):
     assert run(["nonsense"]) == 2
     assert run(["gen", "2"]) == 2  # neither --pk nor --pki
     assert run(["verify", "2", "--bound", "n"]) == 2  # missing --m
+    assert run(["verify", "94", "--bound", "hk10", "--m", "3"]) == 2  # m only for n
+    assert run(["scan", "--m", "0", "--xmax", "1"]) == 2  # no fields, still a bad m
+    assert not (cache_dir / "v1" / "scan_m0_x1.json").exists()
     assert run(["scan", "--m", "3", "--xmax", "10", "--fast6"]) == 2
     assert run(["--help"]) == 0

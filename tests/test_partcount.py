@@ -528,3 +528,31 @@ def test_pk_is_invariant_under_the_unit_and_conjugation(d, j, e, f):
     want = pk(alpha, cap=30)
     assert pk(alpha * seq.units.eps_plus, cap=30) == want
     assert pk(alpha.conjugate(), cap=30) == want
+
+
+@pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(squarefree_range(50)), st.integers(-8, 8), st.integers(1, 4),
+       st.integers(0, 4), st.integers(0, 1))
+def test_counts_grow_by_an_indecomposable_part(d, j, e, f, k):
+    # Adding beta_k as one more part maps the partitions of alpha one-to-one
+    # into those of alpha + beta_k, restricted ones too, since beta_k is
+    # indecomposable; the staircase walk of the candidate box relies on it.
+    seq = indec_seq(d)
+    alpha = e * seq.beta(j) + f * seq.beta(j + 1)
+    beta = alpha + seq.beta(j + k)
+    assert pk(alpha, cap=30).value <= pk(beta, cap=30).value
+    assert pk_indec(alpha, cap=30).value <= pk_indec(beta, cap=30).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(squarefree_range(50)), st.integers(-3, 3), st.integers(1, 4),
+       st.integers(0, 4))
+def test_fan_support_matches_lattice_oracle_on_random_elements(d, j, e, f):
+    # No balancing: the row scan's work grows with the unit power of alpha,
+    # about tenfold per step of j in D = 35, up to 0.03 s at |j| = 3.
+    seq = indec_seq(d)
+    ctx = seq.ctx
+    alpha = e * seq.beta(j) + f * seq.beta(j + 1)
+    u, v = alpha.embedding_pair()
+    assert _support_tuples(alpha) == _desc_real(ctx, lattice_leq(ctx, (u, v), (u, -v)))

@@ -9,6 +9,7 @@ from quadpart.indec import indec_seq
 from quadpart.partcount import (
     CountResult,
     PartitionCounter,
+    gen_two_indec_partitions,
     indec_support,
     list_partitions,
     partition_count_int,
@@ -18,6 +19,7 @@ from quadpart.partcount import (
 )
 from quadpart.theorems import (
     FIELDS_PER_WORKER,
+    BoundReport,
     density_report,
     first_n_squarefree,
     low_count_candidates,
@@ -87,6 +89,50 @@ def test_verify_bound_headroom_is_recorded():
     assert rep.max_norm_seen > 0
     assert rep.bound.exceeds_int(rep.max_norm_seen)
     assert rep.to_json()["ok"] is True
+
+
+def _full_box_report(d, kind, m=None):
+    # Oracle: every candidate of the box, counted by a fresh capped counter,
+    # with no early exit.
+    seq = indec_seq(d)
+    mm = {"hk10": 1, "n": m, "n2": 2}[kind]
+    bound = norm_bound(seq.ctx, kind, m)
+    counter = _shared_indec_counter(seq, mm, cap=mm)
+    checked = []
+    for _, _, _, alpha in low_count_candidates(seq, mm):
+        c = counter.count(alpha)
+        if (c == 2) if kind == "n2" else c <= mm:
+            checked.append(alpha)
+    if kind == "n2":
+        s = seq.cf.s
+        checked += gen_two_indec_partitions(seq, (s if s % 2 == 0 else 2 * s) - 3)
+    norms = [alpha.norm() for alpha in checked]
+    return BoundReport(d, kind, m, len(checked), max(norms, default=0), bound,
+                       [alpha for alpha in checked if not bound.exceeds_int(alpha.norm())])
+
+
+def test_staircase_verify_matches_full_box_oracle():
+    for d in squarefree_range(100):
+        for kind, m in (("hk10", None), ("n2", None), ("n", 1), ("n", 2), ("n", 3), ("n", 4)):
+            want = _full_box_report(d, kind, m).to_json()
+            assert verify_norm_bound(d, kind, m).to_json() == want, (d, kind, m)
+
+
+def test_norm_bound_verification_has_no_cliff(monkeypatch):
+    # Most of the m = 12 box has more than 12 restricted partitions; the
+    # staircase stops each row at the first such candidate (53,640 counts
+    # over the whole box, 4,815 on the staircase).
+    calls = 0
+    count = PartitionCounter.count
+
+    def counting(self, alpha):
+        nonlocal calls
+        calls += 1
+        return count(self, alpha)
+
+    monkeypatch.setattr(PartitionCounter, "count", counting)
+    assert verify_norm_bound(94, "n", 12).ok
+    assert calls < 10_000
 
 
 def test_range_witnesses():
