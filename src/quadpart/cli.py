@@ -40,6 +40,7 @@ from .partcount import (
     pk_indec,
 )
 from .theorems import (
+    BOUND_KINDS,
     density_report,
     map_fields,
     partition_range_witnesses,
@@ -181,6 +182,8 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_indec(args) -> int:
+    if args.window < 0:
+        raise BadIndex(f"window must be >= 0, got {args.window}")
     seq = indec_seq(args.D)
     rows = []
     for j in range(-args.window, args.window + 1):
@@ -234,17 +237,11 @@ def _cmd_gen(args) -> int:
         s = seq.cf.s
         i_max = (s if s % 2 == 0 else 2 * s) - 3
     if args.pk is not None:
-        if args.pk != 6:
-            raise BadIndex("only --pk 6 is supported")
         items = gen_six_partitions(seq, i_max)
         kind = "pk6"
-    elif args.pki is not None:
-        if args.pki != 2:
-            raise BadIndex("only --pki 2 is supported")
+    else:
         items = gen_two_indec_partitions(seq, i_max)
         kind = "pki2"
-    else:
-        raise BadIndex("gen requires --pk 6 or --pki 2")
     print(_dump({"schema": SCHEMA_VERSION, "D": args.D, "kind": kind,
                  "i_max": i_max, "count": len(items),
                  "elements": [x.to_json() for x in items]}))
@@ -279,6 +276,8 @@ def _scan_rows(m: int, xmax: int, fast6: bool) -> list[dict]:
 def _cmd_scan(args) -> int:
     if args.m < 1:  # checked here too: a scan of no fields checks no m
         raise BadIndex(f"m must be >= 1, got {args.m}")
+    if args.xmax < 2:
+        raise BadIndex(f"X must be >= 2, got {args.xmax}")
     if args.fast6 and args.m != 6:
         raise BadIndex("--fast6 only applies to --m 6")
     key = f"scan_m{args.m}_x{args.xmax}" + ("_fast6" if args.fast6 else "")
@@ -361,14 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="run a closed-form generator")
     p.add_argument("D", type=int)
-    p.add_argument("--pk", type=int, default=None)
-    p.add_argument("--pki", type=int, default=None)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--pk", type=int, choices=[6])
+    group.add_argument("--pki", type=int, choices=[2])
     p.add_argument("--imax", type=int, default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="verify a norm bound exhaustively")
     p.add_argument("D", type=int)
-    p.add_argument("--bound", choices=["ds", "hk10", "n", "n2"], required=True)
+    p.add_argument("--bound", choices=BOUND_KINDS, required=True)
     p.add_argument("--m", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -31,7 +31,7 @@ from .qfield import (
 from .cfrac import expansion
 from .indec import IndecSeq, indec_seq
 
-# -- integer partition numbers (exact screen used by the decision procedure) --
+# -- integer partition numbers (the p(e)*p(f) screen of the decision tests' oracle) --
 
 _PINT = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
 

@@ -31,7 +31,6 @@ from .partcount import (
     _support_tuples,
     exists_six_partitions,
     gen_two_indec_partitions,
-    partition_count_int,
     pk,
 )
 
@@ -147,18 +146,18 @@ def low_count_candidates(seq: IndecSeq, m: int):
                 yield j, e, f, base + f * bj1
 
 
-def _staircase(seq: IndecSeq, m: int, count: Callable[[int, int, QuadInt], int]):
+def _staircase(seq: IndecSeq, m: int, count: Callable[[QuadInt], int]):
     """Yield (k, alpha) for each candidate of low_count_candidates(seq, m), in
-    the order of that box, with k = count(e, f, alpha) <= m.
+    the order of that box, with k = count(alpha) <= m.
 
     count returns a partition count (full or restricted, as the caller
-    counts) or a lower bound of it, so a value above m means more than m
-    partitions.  Adding beta_j or beta_{j+1} as one more part maps the
-    partitions of alpha one-to-one into those of the sum, and both are
-    indecomposable, so both counts grow with e and f: once (e, f) has more
-    than m, so has every (e', f') with e' >= e and f' >= f.  So that f-row
-    ends there, no later e-row of this j goes past f, and the e-loop ends
-    when f = 0 fails; every candidate skipped has more than m partitions.
+    counts), or any value above m for more than m partitions.  Adding beta_j
+    or beta_{j+1} as one more part maps the partitions of alpha one-to-one
+    into those of the sum, and both are indecomposable, so both counts grow
+    with e and f: once (e, f) has more than m, so has every (e', f') with
+    e' >= e and f' >= f.  So that f-row ends there, no later e-row of this j
+    goes past f, and the e-loop ends when f = 0 fails; every candidate
+    skipped has more than m partitions.
     """
     for j in range(seq.s_prime):
         bj, bj1 = seq.beta(j), seq.beta(j + 1)
@@ -167,7 +166,7 @@ def _staircase(seq: IndecSeq, m: int, count: Callable[[int, int, QuadInt], int])
             base = e * bj
             for f in range(f_end):
                 alpha = base + f * bj1
-                k = count(e, f, alpha)
+                k = count(alpha)
                 if k > m:
                     f_end = f
                     break
@@ -203,25 +202,14 @@ def _low_counts(seq: IndecSeq, m: int):
     """Yield (k, alpha) for each candidate alpha of low_count_candidates(seq, m)
     with exactly k <= m partitions, in the order of that box.
 
-    The staircase walk ends a row at the first candidate that an exact lower
-    bound puts above m: p(e)*p(f) many partitions exist by splitting
-    e*beta_j and f*beta_{j+1} separately into multiples of beta_j and
-    beta_{j+1}, partitions into indecomposable parts undercount all
-    partitions, and the full count capped at m is the last check.  A
-    candidate with exactly k partitions passes the screens for k and lies in
-    the box for k, so the first k yielded is the first hit of that box.  The
-    full counts of one generator share one memo.
+    The staircase walk counts each candidate with the full count capped at m,
+    which reads m + 1 when saturated, and ends a row at the first count above
+    m.  A candidate with exactly k partitions lies in the box for k, so the
+    first k yielded is the first hit of that box.  The full counts of one
+    generator share one memo.
     """
-    indec_counter = _shared_indec_counter(seq, m, cap=m)
     memo: dict = {}
-
-    def count(e: int, f: int, alpha: QuadInt) -> int:
-        if (partition_count_int(e) * partition_count_int(f) > m
-                or indec_counter.count(alpha) > m):
-            return m + 1
-        return _count(alpha, _support_tuples, m, memo).value  # m + 1 when saturated
-
-    return _staircase(seq, m, count)
+    return _staircase(seq, m, lambda alpha: _count(alpha, _support_tuples, m, memo).value)
 
 
 @dataclass
@@ -291,7 +279,7 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
 
     mm = {"hk10": 1, "n": m, "n2": 2}[kind]
     counter = _shared_indec_counter(seq, mm, cap=mm)
-    for c, alpha in _staircase(seq, mm, lambda e, f, alpha: counter.count(alpha)):
+    for c, alpha in _staircase(seq, mm, counter.count):
         if kind != "n2" or c == 2:
             check(alpha)
     if kind == "n2":
@@ -333,8 +321,9 @@ def value_attained(d: int, m: int) -> tuple[bool, Optional[QuadInt]]:
     Complete: an element with m partitions has at most m indecomposable-part
     partitions, hence a unit multiple of it appears in the candidate box of
     low_count_candidates.  Counts are invariant under that unit action, so
-    the first candidate of the box with exactly m partitions (see
-    _low_counts) decides membership and is returned as the witness.
+    the first candidate of the box with exactly m partitions decides
+    membership and is returned as the witness; _low_counts finds it with
+    the capped full count alone.
     """
     if m < 1:
         raise BadIndex(f"m must be >= 1, got {m}")

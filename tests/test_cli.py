@@ -220,9 +220,14 @@ def test_usage_errors(capsys, cache_dir):
     assert run(["pk", "2", "4", "2", "--cap", "-1"]) == 2  # negative cap
     assert run(["nonsense"]) == 2
     assert run(["gen", "2"]) == 2  # neither --pk nor --pki
+    assert run(["gen", "2", "--pk", "6", "--pki", "2"]) == 2  # both
+    assert run(["gen", "2", "--pk", "5"]) == 2  # only --pk 6 has a generator
     assert run(["verify", "2", "--bound", "n"]) == 2  # missing --m
     assert run(["verify", "94", "--bound", "hk10", "--m", "3"]) == 2  # m only for n
     assert run(["scan", "--m", "0", "--xmax", "1"]) == 2  # no fields, still a bad m
+    assert run(["scan", "--m", "3", "--xmax", "-5"]) == 2  # no squarefree D <= X
+    assert run(["indec", "2", "--window", "-3"]) == 2
     assert not (cache_dir / "v1" / "scan_m0_x1.json").exists()
+    assert not (cache_dir / "v1" / "scan_m3_x-5.json").exists()
     assert run(["scan", "--m", "3", "--xmax", "10", "--fast6"]) == 2
     assert run(["--help"]) == 0

@@ -3,7 +3,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from quadpart import partcount
+from quadpart import partcount, theorems
 from quadpart.qfield import BadIndex, QuadInt, make_field, sign_surd, _is_squarefree
 from quadpart.indec import indec_seq
 from quadpart.partcount import (
@@ -182,8 +182,8 @@ def test_restricted_count_has_no_cliff(monkeypatch):
 
 
 def test_density_census_has_no_cliff(monkeypatch):
-    # One pass per field with one restricted counter and one full-count memo
-    # (369,599 sign_surd calls with a pass and a fresh memo per k and per pk).
+    # One pass per field with one full-count memo (369,599 sign_surd calls
+    # with a pass and a fresh memo per k and per pk).
     calls = 0
 
     def counting(u, v, delta):
@@ -321,6 +321,23 @@ def test_shared_memo_walk_matches_fresh_counts():
             assert list(_low_counts(seq, m)) == want, (d, m)
             witness = next((alpha for k, alpha in want if k == m), None)
             assert value_attained(d, m) == (witness is not None, witness), (d, m)
+
+
+def test_decisions_build_no_restricted_counter(monkeypatch):
+    # The staircase ends each row at its first full count above m, so the
+    # decision and the census need no restricted counter; only verify does.
+    def refuse(*args, **kwargs):
+        raise AssertionError("decision built a restricted counter")
+
+    assert len(squarefree_range(60)) < 2 * FIELDS_PER_WORKER  # in-process census
+    with monkeypatch.context() as patch:
+        patch.setattr(theorems, "_shared_indec_counter", refuse)
+        assert value_attained(94, 40) == (False, None)
+        rep = density_report(6, 60)
+    assert rep.members == [2, 3, 5, 7, 15, 17, 21, 23, 34, 35, 37, 43, 47]
+    assert rep.missing == {2: 5, 3: 5, 5: 3, 7: 6, 15: 6, 17: 6, 21: 6, 23: 6,
+                           34: 6, 35: 6, 37: 6, 43: 6, 47: 6}
+    assert verify_norm_bound(94, "hk10").ok
 
 
 def test_single_pass_density_matches_per_k_decisions():
