@@ -51,7 +51,8 @@ class CFData:
 
     period holds (u_1, ..., u_s); u_s always equals u_0.  tails[i-1] is the
     exact state of the i-th tail for 1 <= i <= s, and tails repeat with
-    period s.
+    period s.  unit_steps is the number of steps per totally positive unit:
+    alpha_{unit_steps - 1} = eps_plus.
     """
 
     def __init__(self, ctx: FieldCtx, u0: int, period: tuple[int, ...],
@@ -60,6 +61,7 @@ class CFData:
         self.u0 = u0
         self.period = period
         self.s = len(period)
+        self.unit_steps = self.s if self.s % 2 == 0 else 2 * self.s
         self.sigma_period = (u0,) + period[:-1]
         self.tails = tails
 
@@ -186,12 +188,12 @@ def units(cf: CFData, table: ConvergentTable) -> Units:
     """Fundamental unit and smallest totally positive unit > 1."""
     s = cf.s
     eps = table.alpha(s - 1)
-    eps_plus = eps if s % 2 == 0 else table.alpha(2 * s - 1)
+    eps_plus = table.alpha(cf.unit_steps - 1)
     if eps.norm() != (-1) ** s:
         raise InternalError(f"norm(eps) != (-1)^s for D={cf.ctx.D}")
     if eps_plus.norm() != 1 or not eps_plus.is_totally_positive():
         raise InternalError(f"eps_plus is not a totally positive unit for D={cf.ctx.D}")
-    return Units(eps, eps_plus, "even" if s % 2 == 0 else "odd")
+    return Units(eps, eps_plus, "even" if cf.unit_steps == s else "odd")
 
 
 def tail_is_reduced(cf: CFData, i: int) -> bool:

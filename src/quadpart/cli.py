@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -22,7 +23,6 @@ from typing import Optional
 from .qfield import (
     BadIndex,
     CtxMismatch,
-    InternalError,
     NotSquarefree,
     NotTotallyPositive,
     OutOfRange,
@@ -32,6 +32,7 @@ from .qfield import (
 )
 from .indec import indec_seq
 from .partcount import (
+    default_i_max,
     exists_six_partitions,
     gen_six_partitions,
     gen_two_indec_partitions,
@@ -41,6 +42,7 @@ from .partcount import (
 )
 from .theorems import (
     BOUND_KINDS,
+    SCHEMA_VERSION,
     density_report,
     map_fields,
     partition_range_witnesses,
@@ -49,7 +51,6 @@ from .theorems import (
     verify_norm_bound,
 )
 
-SCHEMA_VERSION = 1
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
@@ -138,42 +139,21 @@ def _dump(payload: dict) -> str:
 
 
 def _cmd_field(args) -> int:
-    ctx = make_field(args.D)
-    print(_dump({
-        "schema": SCHEMA_VERSION,
-        "D": ctx.D,
-        "delta": ctx.delta,
-        "basis_case": ctx.basis_case,
-        "tr_omega": ctx.tr_omega,
-        "nm_omega": ctx.nm_omega,
-        "floor_omega": ctx.floor_omega,
-        "floor_xi": ctx.floor_xi,
-        "c_d": ctx.c_d,
-    }))
+    print(_dump({"schema": SCHEMA_VERSION, **dataclasses.asdict(make_field(args.D))}))
     return 0
 
 
-def _cf_payload(d: int) -> dict:
-    seq = indec_seq(d)
-    cf, un = seq.cf, seq.units
-    return {
-        "schema": SCHEMA_VERSION,
-        "D": d,
-        "u0": cf.u0,
-        "period": list(cf.period),
-        "s": cf.s,
-        "epsilon": un.eps.to_json(),
-        "epsilon_plus": un.eps_plus.to_json(),
-    }
-
-
 def _cmd_cf(args) -> int:
-    out = _cf_payload(args.D)
+    if args.rows is not None and args.rows < -1:
+        raise BadIndex(f"rows must be >= -1, got {args.rows}")
+    seq = indec_seq(args.D)
+    out = {"schema": SCHEMA_VERSION, **seq.cf.to_json(),
+           "epsilon": seq.units.eps.to_json(),
+           "epsilon_plus": seq.units.eps_plus.to_json()}
     if args.rows is not None:
-        tab = indec_seq(args.D).table
         rows = []
         for i in range(-1, args.rows + 1):
-            p, q, alpha, absnorm = tab.row(i)
+            p, q, alpha, absnorm = seq.table.row(i)
             rows.append({"i": i, "p": str(p), "q": str(q),
                          "alpha": alpha.to_json(), "N": str(absnorm)})
         out["rows"] = rows
@@ -231,11 +211,7 @@ def _cmd_pk(args) -> int:
 
 def _cmd_gen(args) -> int:
     seq = indec_seq(args.D)
-    if args.imax is not None:
-        i_max = args.imax
-    else:
-        s = seq.cf.s
-        i_max = (s if s % 2 == 0 else 2 * s) - 3
+    i_max = args.imax if args.imax is not None else default_i_max(seq)
     if args.pk is not None:
         items = gen_six_partitions(seq, i_max)
         kind = "pk6"
@@ -401,9 +377,6 @@ def run(argv: list[str]) -> int:
     except _USAGE_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except InternalError as exc:
-        print(f"InternalError: {exc}", file=sys.stderr)
-        return CHECK_FAILED
     except QuadpartError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return CHECK_FAILED

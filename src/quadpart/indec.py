@@ -48,9 +48,8 @@ class IndecSeq:
         self._beta_cache: dict[int, QuadInt] = {}
         # One multiplication by eps_plus shifts the sequence index by s_prime:
         # the number of indecomposables carved out of one totally positive
-        # unit period (one CF period when s is even, two when s is odd).
-        steps = cf.s if cf.s % 2 == 0 else 2 * cf.s
-        self.s_prime = sum(cf.u(2 * k + 1) for k in range(steps // 2))
+        # unit period.
+        self.s_prime = sum(cf.u(2 * k + 1) for k in range(cf.unit_steps // 2))
 
     # -- index bookkeeping -------------------------------------------------
 

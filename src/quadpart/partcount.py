@@ -31,31 +31,6 @@ from .qfield import (
 from .cfrac import expansion
 from .indec import IndecSeq, indec_seq
 
-# -- integer partition numbers (the p(e)*p(f) screen of the decision tests' oracle) --
-
-_PINT = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
-
-
-def partition_count_int(n: int) -> int:
-    """The ordinary integer partition number p(n), by Euler's pentagonal recurrence."""
-    if n < 0:
-        return 0
-    while len(_PINT) <= n:
-        m = len(_PINT)
-        total = 0
-        k = 1
-        while True:
-            g1 = m - k * (3 * k - 1) // 2
-            g2 = m - k * (3 * k + 1) // 2
-            if g1 < 0 and g2 < 0:
-                break
-            term = (_PINT[g1] if g1 >= 0 else 0) + (_PINT[g2] if g2 >= 0 else 0)
-            total += term if k % 2 == 1 else -term
-            k += 1
-        _PINT.append(total)
-    return _PINT[n]
-
-
 # -- count results -------------------------------------------------------------
 
 
@@ -472,6 +447,11 @@ def _emit(seq: IndecSeq, sink: dict, i: int, r: int, e: int, f: int) -> None:
     sink[(alpha.a, alpha.b)] = alpha
     conj = alpha.conjugate()
     sink[(conj.a, conj.b)] = conj
+
+
+def default_i_max(seq: IndecSeq) -> int:
+    """The generators' default i_max: the last block of one unit period."""
+    return seq.cf.unit_steps - 3
 
 
 def gen_two_indec_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:

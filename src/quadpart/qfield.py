@@ -238,14 +238,6 @@ class QuadInt:
         return f"{self.a}{'+' if self.b > 0 else ''}{bpart}"
 
 
-def zero(ctx: FieldCtx) -> QuadInt:
-    return QuadInt(0, 0, ctx)
-
-
-def one(ctx: FieldCtx) -> QuadInt:
-    return QuadInt(1, 0, ctx)
-
-
 def xi(ctx: FieldCtx) -> QuadInt:
     """xi = -w' = w - tr(w): the positive root paired with w in the basis."""
     return QuadInt(-ctx.tr_omega, 1, ctx)

@@ -29,12 +29,14 @@ from .partcount import (
     PartitionCounter,
     _count,
     _support_tuples,
+    default_i_max,
     exists_six_partitions,
     gen_two_indec_partitions,
     pk,
 )
 
 BOUND_KINDS = ("ds", "hk10", "n", "n2")
+SCHEMA_VERSION = 1  # of every JSON document the package prints
 
 # A worker must get this many fields before a fan-out repays forking it and
 # sending its results back.  On a 2-vCPU VM (Python 3.11, medians of 9 CLI
@@ -228,7 +230,7 @@ class BoundReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "D": self.d,
             "kind": self.kind,
             "m": self.m,
@@ -283,9 +285,7 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
         if kind != "n2" or c == 2:
             check(alpha)
     if kind == "n2":
-        s = seq.cf.s
-        i_max = (s if s % 2 == 0 else 2 * s) - 3
-        for alpha in gen_two_indec_partitions(seq, i_max):
+        for alpha in gen_two_indec_partitions(seq, default_i_max(seq)):
             check(alpha)
     return report
 
@@ -356,7 +356,7 @@ class DensityReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "m": self.m,
             "X": self.x,
             "count": self.count,

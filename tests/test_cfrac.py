@@ -137,6 +137,21 @@ def test_units_examples():
     assert un5.eps_plus == QuadInt(1, 1, ctx5)
 
 
+def test_eps_plus_closes_one_unit_period():
+    parities = set()
+    for d in range(2, 301):
+        if any(e > 1 for e in sympy.factorint(d).values()):
+            continue
+        cf, tab = expansion(d), convergents(d)
+        assert cf.unit_steps == (cf.s if cf.s % 2 == 0 else 2 * cf.s)
+        un = units(cf, tab)
+        assert un.eps_plus == tab.alpha(cf.unit_steps - 1), d
+        # eps has norm (-1)^s, so eps_plus is eps or its square
+        assert un.eps_plus == (un.eps if cf.s % 2 == 0 else un.eps * un.eps), d
+        parities.add(cf.s % 2)
+    assert parities == {0, 1}
+
+
 def test_unit_shifts_convergents():
     for d in (2, 3, 5, 13, 21, 46):
         cf, tab = expansion(d), convergents(d)

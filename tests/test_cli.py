@@ -21,20 +21,54 @@ def out_of(capsys):
     return capsys.readouterr().out
 
 
+def _qj(a, b, d):
+    return {"a": str(a), "b": str(b), "D": d}
+
+
+def _row(d, i, p, q, a, b, n):
+    return {"i": i, "p": str(p), "q": str(q), "alpha": _qj(a, b, d), "N": str(n)}
+
+
+FIELD_DOCS = {
+    2: {"schema": 1, "D": 2, "delta": 8, "basis_case": "sqrt", "tr_omega": 0,
+        "nm_omega": -2, "floor_omega": 1, "floor_xi": 1, "c_d": 2},
+    13: {"schema": 1, "D": 13, "delta": 13, "basis_case": "half", "tr_omega": 1,
+         "nm_omega": -3, "floor_omega": 2, "floor_xi": 1, "c_d": 3},
+    31: {"schema": 1, "D": 31, "delta": 124, "basis_case": "sqrt", "tr_omega": 0,
+         "nm_omega": -31, "floor_omega": 5, "floor_xi": 5, "c_d": 31},
+}
+
+CF_ROWS3_DOCS = {
+    2: {"schema": 1, "D": 2, "u0": 2, "period": [2], "s": 1,
+        "epsilon": _qj(1, 1, 2), "epsilon_plus": _qj(3, 2, 2),
+        "rows": [_row(2, -1, 1, 0, 1, 0, 1), _row(2, 0, 1, 1, 1, 1, 1),
+                 _row(2, 1, 3, 2, 3, 2, 1), _row(2, 2, 7, 5, 7, 5, 1),
+                 _row(2, 3, 17, 12, 17, 12, 1)]},
+    13: {"schema": 1, "D": 13, "u0": 3, "period": [3], "s": 1,
+         "epsilon": _qj(1, 1, 13), "epsilon_plus": _qj(4, 3, 13),
+         "rows": [_row(13, -1, 1, 0, 1, 0, 1), _row(13, 0, 2, 1, 1, 1, 1),
+                  _row(13, 1, 7, 3, 4, 3, 1), _row(13, 2, 23, 10, 13, 10, 1),
+                  _row(13, 3, 76, 33, 43, 33, 1)]},
+    31: {"schema": 1, "D": 31, "u0": 10, "period": [1, 1, 3, 5, 3, 1, 1, 10], "s": 8,
+         "epsilon": _qj(1520, 273, 31), "epsilon_plus": _qj(1520, 273, 31),
+         "rows": [_row(31, -1, 1, 0, 1, 0, 1), _row(31, 0, 5, 1, 5, 1, 6),
+                  _row(31, 1, 6, 1, 6, 1, 5), _row(31, 2, 11, 2, 11, 2, 3),
+                  _row(31, 3, 39, 7, 39, 7, 2)]},
+}
+
+
 def test_field_command(capsys, cache_dir):
-    assert run(["field", "2"]) == 0
-    doc = json.loads(out_of(capsys))
-    assert doc["delta"] == 8 and doc["c_d"] == 2 and doc["schema"] == 1
+    for d, want in FIELD_DOCS.items():
+        assert run(["field", str(d)]) == 0
+        assert json.loads(out_of(capsys)) == want, d
 
 
 def test_cf_command_round_trip(capsys, cache_dir):
-    assert run(["cf", "2", "--rows", "3"]) == 0
-    doc = json.loads(out_of(capsys))
-    assert doc["u0"] == 2 and doc["period"] == [2]
-    eps = QuadInt.from_json(doc["epsilon"])
-    assert eps == QuadInt(1, 1, make_field(2))
-    assert doc["rows"][0] == {"i": -1, "p": "1", "q": "0",
-                              "alpha": {"a": "1", "b": "0", "D": 2}, "N": "1"}
+    for d, want in CF_ROWS3_DOCS.items():
+        assert run(["cf", str(d), "--rows", "3"]) == 0
+        doc = json.loads(out_of(capsys))
+        assert doc == want, d
+        assert QuadInt.from_json(doc["epsilon"]).norm() == (-1) ** doc["s"]
 
 
 def test_cache_hits_are_byte_identical(capsys, cache_dir):
@@ -171,6 +205,10 @@ def test_gen_command(capsys, cache_dir):
     assert run(["gen", "2", "--pki", "2"]) == 0
     doc = json.loads(out_of(capsys))
     assert doc["kind"] == "pki2" and doc["count"] > 0
+    # without --imax the generators cover one totally positive unit period
+    for d, i_max in ((2, -1), (3, -1), (7, 1), (13, -1), (31, 5)):
+        assert run(["gen", str(d), "--pki", "2"]) == 0
+        assert json.loads(out_of(capsys))["i_max"] == i_max, d
 
 
 def test_verify_command(capsys, cache_dir):
@@ -227,6 +265,10 @@ def test_usage_errors(capsys, cache_dir):
     assert run(["scan", "--m", "0", "--xmax", "1"]) == 2  # no fields, still a bad m
     assert run(["scan", "--m", "3", "--xmax", "-5"]) == 2  # no squarefree D <= X
     assert run(["indec", "2", "--window", "-3"]) == 2
+    assert run(["cf", "2", "--rows", "-5"]) == 2  # rows start at i = -1
+    assert out_of(capsys) == ""
+    assert run(["cf", "2", "--rows", "-1"]) == 0
+    assert [r["i"] for r in json.loads(out_of(capsys))["rows"]] == [-1]
     assert not (cache_dir / "v1" / "scan_m0_x1.json").exists()
     assert not (cache_dir / "v1" / "scan_m3_x-5.json").exists()
     assert run(["scan", "--m", "3", "--xmax", "10", "--fast6"]) == 2

@@ -27,7 +27,6 @@ from quadpart.partcount import (
     is_uniquely_decomposable,
     lattice_leq,
     list_partitions,
-    partition_count_int,
     parts_leq,
     pk,
     pk_indec,
@@ -43,13 +42,6 @@ def q(a, b, d):
 
 def exact(v):
     return CountResult.exactly(v)
-
-
-def test_partition_count_int():
-    want = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
-    assert [partition_count_int(n) for n in range(13)] == want
-    assert partition_count_int(50) == 204226
-    assert partition_count_int(-3) == 0
 
 
 def test_parts_leq_examples():

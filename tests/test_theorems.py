@@ -2,6 +2,7 @@ import sys
 from functools import cmp_to_key
 
 import pytest
+from sympy import partition
 
 from quadpart import partcount, theorems
 from quadpart.qfield import BadIndex, QuadInt, make_field, sign_surd, _is_squarefree
@@ -12,7 +13,6 @@ from quadpart.partcount import (
     gen_two_indec_partitions,
     indec_support,
     list_partitions,
-    partition_count_int,
     pk,
     pk_indec,
     _support_tuples,
@@ -301,10 +301,10 @@ def _fresh_low_counts(seq, m):
     out = []
     for j in range(seq.s_prime):
         for e in range(1, m * seq.v(j)):
-            if partition_count_int(e) > m:
+            if partition(e) > m:
                 break
             for f in range(0, m * seq.v(j + 1)):
-                if partition_count_int(e) * partition_count_int(f) > m:
+                if partition(e) * partition(f) > m:
                     break
                 alpha = e * seq.beta(j) + f * seq.beta(j + 1)
                 r = pk(alpha, cap=m)
