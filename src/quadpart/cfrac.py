@@ -1,8 +1,9 @@
 """Periodic continued fractions for real quadratic fields.
 
 Expands w (the basis generator) with exact (P, Q) state arithmetic, exposes
-the purely periodic tails, the convergent/semiconvergent tables, and the
-fundamental and smallest totally positive units.  Partial quotients are
+the purely periodic tails and the convergent/semiconvergent table, whose
+norms come from the tails and whose fundamental and smallest totally positive
+units are built on first read.  Partial quotients are
 indexed so that u_0 is the leading term of the purely periodic expansion of
 floor(xi) + w, and the expansion of w itself is [ceil(u_0/2); u_1, u_2, ...]
 with u_{k+s} = u_k.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .qfield import (
     FieldCtx,
@@ -62,7 +64,6 @@ class CFData:
         self.period = period
         self.s = len(period)
         self.unit_steps = self.s if self.s % 2 == 0 else 2 * self.s
-        self.sigma_period = (u0,) + period[:-1]
         self.tails = tails
 
     def u(self, k: int) -> int:
@@ -121,23 +122,24 @@ def cf_expand(ctx: FieldCtx) -> CFData:
 class ConvergentTable:
     """Lazily extended table of convergents p_i, q_i, alpha_i and |norm(alpha_i)|.
 
-    Rows exist for i >= -1; indices are absolute (never reduced mod the
-    period), so callers can ask for rows far past one period.
+    Only the alpha_i read so far are stored, each checked when it is built;
+    the norms come from the CF tails, and the units eps and eps_plus are
+    built on first read.  Rows exist for i >= -1; indices are absolute (never
+    reduced mod the period), so callers can ask for rows far past one period.
     """
 
-    def __init__(self, ctx: FieldCtx, cf: CFData):
+    def __init__(self, cf: CFData):
+        ctx = cf.ctx
         self.ctx = ctx
         self.cf = cf
         self._alpha = [QuadInt(1, 0, ctx), QuadInt(ctx.floor_omega, 0, ctx) + xi(ctx)]
-        self._absnorm = [1, abs(self._alpha[1].norm())]
         self._check_row(-1)
         self._check_row(0)
 
     def _check_row(self, i: int) -> None:
         alpha = self._alpha[i + 1]
-        nm = alpha.norm()
-        if nm != (-1) ** (i + 1) * self._absnorm[i + 1]:
-            raise InternalError(f"norm sign of alpha_{i} is off for D={self.ctx.D}")
+        if alpha.norm() != (-1) ** (i + 1) * self.absnorm(i):
+            raise InternalError(f"norm of alpha_{i} is off for D={self.ctx.D}")
         emb = self.ctx.sign_embedding(alpha.a, alpha.b)
         conj = self.ctx.sign_embedding(alpha.a, alpha.b, conj=True)
         if emb <= 0:
@@ -145,28 +147,26 @@ class ConvergentTable:
         if (conj > 0) != (i % 2 == 1):
             raise InternalError(f"alpha_{i} total positivity violates parity of i")
 
-    def _extend_to(self, i: int) -> None:
-        while len(self._alpha) < i + 2:
-            k = len(self._alpha) - 1  # next absolute index to fill
-            u = self.cf.u(k)
-            self._alpha.append(u * self._alpha[-1] + self._alpha[-2])
-            self._absnorm.append(abs(self._alpha[-1].norm()))
-            self._check_row(k)
-
-    def row(self, i: int) -> tuple[int, int, QuadInt, int]:
-        """(p_i, q_i, alpha_i, N_i) for i >= -1; alpha_i = (p_i - tr*q_i) + q_i*w."""
+    def alpha(self, i: int) -> QuadInt:
+        """alpha_i = (p_i - tr*q_i) + q_i*w for i >= -1."""
         if i < -1:
             raise BadIndex(f"convergent index must be >= -1, got {i}")
-        if len(self._alpha) < i + 2:
-            self._extend_to(i)
-        alpha = self._alpha[i + 1]
-        return alpha.a + self.ctx.tr_omega * alpha.b, alpha.b, alpha, self._absnorm[i + 1]
-
-    def alpha(self, i: int) -> QuadInt:
-        return self.row(i)[2]
+        while len(self._alpha) < i + 2:
+            k = len(self._alpha) - 1  # next absolute index to fill
+            self._alpha.append(self.cf.u(k) * self._alpha[-1] + self._alpha[-2])
+            self._check_row(k)
+        return self._alpha[i + 1]
 
     def absnorm(self, i: int) -> int:
-        return self.row(i)[3]
+        """N_i = |norm(alpha_i)|: 1 at i = -1, else Q/2 of the tail at i + 1."""
+        if i < -1:
+            raise BadIndex(f"convergent index must be >= -1, got {i}")
+        return 1 if i == -1 else self.cf.tail(i + 1).Q // 2
+
+    def row(self, i: int) -> tuple[int, int, QuadInt, int]:
+        """(p_i, q_i, alpha_i, N_i) for i >= -1."""
+        alpha = self.alpha(i)
+        return alpha.a + self.ctx.tr_omega * alpha.b, alpha.b, alpha, self.absnorm(i)
 
     def semiconvergent(self, i: int, r: int) -> QuadInt:
         """alpha_{i,r} = alpha_i + r*alpha_{i+1} for odd i >= -1, 0 <= r <= u_{i+2}."""
@@ -176,24 +176,21 @@ class ConvergentTable:
             raise BadIndex(f"semiconvergent step r={r} out of range for i={i}")
         return self.alpha(i) + r * self.alpha(i + 1)
 
+    @cached_property
+    def eps(self) -> QuadInt:
+        """The fundamental unit alpha_{s-1}, of norm (-1)^s."""
+        eps = self.alpha(self.cf.s - 1)
+        if eps.norm() != (-1) ** self.cf.s:
+            raise InternalError(f"norm(eps) != (-1)^s for D={self.ctx.D}")
+        return eps
 
-@dataclass(frozen=True)
-class Units:
-    eps: QuadInt
-    eps_plus: QuadInt
-    s_parity: str  # 'even' or 'odd'
-
-
-def units(cf: CFData, table: ConvergentTable) -> Units:
-    """Fundamental unit and smallest totally positive unit > 1."""
-    s = cf.s
-    eps = table.alpha(s - 1)
-    eps_plus = table.alpha(cf.unit_steps - 1)
-    if eps.norm() != (-1) ** s:
-        raise InternalError(f"norm(eps) != (-1)^s for D={cf.ctx.D}")
-    if eps_plus.norm() != 1 or not eps_plus.is_totally_positive():
-        raise InternalError(f"eps_plus is not a totally positive unit for D={cf.ctx.D}")
-    return Units(eps, eps_plus, "even" if cf.unit_steps == s else "odd")
+    @cached_property
+    def eps_plus(self) -> QuadInt:
+        """The smallest totally positive unit > 1, alpha_{unit_steps - 1}."""
+        eps_plus = self.alpha(self.cf.unit_steps - 1)
+        if eps_plus.norm() != 1 or not eps_plus.is_totally_positive():
+            raise InternalError(f"eps_plus is not a totally positive unit for D={self.ctx.D}")
+        return eps_plus
 
 
 def tail_is_reduced(cf: CFData, i: int) -> bool:
@@ -213,8 +210,10 @@ def verify_tail_norm_identity(table: ConvergentTable, cf: CFData, i: int) -> boo
     P*(2*N_{i+1} - Q) = 0 for the tail state (P, Q).  Also checks the derived
     bound N_i * u_{i+1} < sqrt(delta), compared as squares.
     """
-    n_i = table.absnorm(i)
-    n_next = table.absnorm(i + 1)
+    # N is read off the convergents, not from table.absnorm (which reads it
+    # off the tails), so the check compares two independent derivations.
+    n_i = abs(table.alpha(i).norm())
+    n_next = abs(table.alpha(i + 1).norm())
     st = cf.tail(i + 2)
     delta = cf.ctx.delta
     rational_part = n_next * (st.P * st.P + delta) - delta * st.Q + n_i * st.Q * st.Q
@@ -228,4 +227,4 @@ def expansion(d: int) -> CFData:
 
 
 def convergents(d: int) -> ConvergentTable:
-    return ConvergentTable(make_field(d), expansion(d))
+    return ConvergentTable(expansion(d))

@@ -148,8 +148,8 @@ def _cmd_cf(args) -> int:
         raise BadIndex(f"rows must be >= -1, got {args.rows}")
     seq = indec_seq(args.D)
     out = {"schema": SCHEMA_VERSION, **seq.cf.to_json(),
-           "epsilon": seq.units.eps.to_json(),
-           "epsilon_plus": seq.units.eps_plus.to_json()}
+           "epsilon": seq.table.eps.to_json(),
+           "epsilon_plus": seq.table.eps_plus.to_json()}
     if args.rows is not None:
         rows = []
         for i in range(-1, args.rows + 1):

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .qfield import (
-    FieldCtx,
     InternalError,
     NotTotallyPositive,
     QuadInt,
     make_field,
     sign_surd,
 )
-from .cfrac import CFData, ConvergentTable, Units, cf_expand, units
+from .cfrac import ConvergentTable, cf_expand
 
 _WALK_CAP = 1_000_000
 _LIVE_FIELDS = 16  # callers reuse a field only between consecutive calls
@@ -39,17 +38,16 @@ class Decomp:
 class IndecSeq:
     """Indexed access to the indecomposable sequence of one field."""
 
-    def __init__(self, ctx: FieldCtx, cf: CFData, table: ConvergentTable, un: Units):
-        self.ctx = ctx
-        self.cf = cf
+    def __init__(self, table: ConvergentTable):
+        self.ctx = table.ctx
+        self.cf = table.cf
         self.table = table
-        self.units = un
         self._offsets = [0]  # _offsets[k] = first index of the block at i = 2k-1
         self._beta_cache: dict[int, QuadInt] = {}
         # One multiplication by eps_plus shifts the sequence index by s_prime:
         # the number of indecomposables carved out of one totally positive
         # unit period.
-        self.s_prime = sum(cf.u(2 * k + 1) for k in range(cf.unit_steps // 2))
+        self.s_prime = sum(self.cf.u(2 * k + 1) for k in range(self.cf.unit_steps // 2))
 
     # -- index bookkeeping -------------------------------------------------
 
@@ -191,7 +189,7 @@ class IndecSeq:
         counts nor decomposability; it keeps the boxes of the lattice_leq
         test oracle close to square.
         """
-        ep = self.units.eps_plus
+        ep = self.table.eps_plus
         ep_inv = ep.conjugate()  # norm 1, so the conjugate is the inverse
         sq = ep * ep
         for _ in range(_WALK_CAP):
@@ -208,7 +206,4 @@ class IndecSeq:
 @lru_cache(maxsize=_LIVE_FIELDS)
 def indec_seq(d: int) -> IndecSeq:
     """The only per-field state kept between calls, for a few recent fields."""
-    ctx = make_field(d)
-    cf = cf_expand(ctx)
-    table = ConvergentTable(ctx, cf)
-    return IndecSeq(ctx, cf, table, units(cf, table))
+    return IndecSeq(ConvergentTable(cf_expand(make_field(d))))

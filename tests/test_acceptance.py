@@ -9,7 +9,7 @@ import random
 import time
 
 from quadpart.qfield import QuadInt, make_field, sign_surd
-from quadpart.cfrac import convergents, expansion, units, verify_tail_norm_identity
+from quadpart.cfrac import convergents, expansion, verify_tail_norm_identity
 from quadpart.indec import indec_seq
 from quadpart.partcount import (
     CountResult,
@@ -199,20 +199,19 @@ def test_criterion_08_structural_identities():
         ctx = make_field(d)
         cf = expansion(d)
         tab = convergents(d)
-        un = units(cf, tab)
         seq = indec_seq(d)
         s, sp = cf.s, seq.s_prime
         span = (s if s % 2 == 0 else 2 * s)
         for j in range(-2 * sp - 1, 2 * sp + 2):
             assert seq.v(j) * seq.beta(j) == seq.beta(j - 1) + seq.beta(j + 1)
-            assert seq.beta(j + sp) == un.eps_plus * seq.beta(j)
+            assert seq.beta(j + sp) == tab.eps_plus * seq.beta(j)
         for i in range(-1, 2 * span + 2, 2):
             assert (tab.semiconvergent(i, cf.u(i + 2))
                     == tab.semiconvergent(i + 2, 0))
         for i in range(-1, 2 * span + 1):
             assert tab.alpha(i).is_totally_positive() == (i % 2 == 1)
         for i in range(-1, s + 1):
-            assert un.eps * tab.alpha(i) == tab.alpha(s + i)
+            assert tab.eps * tab.alpha(i) == tab.alpha(s + i)
         for i in range(-1, 2 * s + 1):
             assert verify_tail_norm_identity(tab, cf, i)
             lhs = tab.absnorm(i) * cf.u(i + 1)
@@ -229,7 +228,7 @@ def test_criterion_09_randomized_symmetries():
     instances = 0
     for d in fields:
         seq = indec_seq(d)
-        ep = seq.units.eps_plus
+        ep = seq.table.eps_plus
         for _ in range(50):
             j = rng.randint(-seq.s_prime, seq.s_prime)
             alpha = (rng.randint(1, 3) * seq.beta(j)

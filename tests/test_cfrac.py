@@ -9,10 +9,9 @@ from quadpart.cfrac import (
     convergents,
     expansion,
     tail_is_reduced,
-    units,
     verify_tail_norm_identity,
 )
-from quadpart.theorems import first_n_squarefree
+from quadpart.theorems import first_n_squarefree, squarefree_range
 
 
 def test_expand_examples():
@@ -33,7 +32,7 @@ def test_expand_invariants():
         assert cf.u0 * cf.u0 < ctx.delta
         assert ctx.floor_omega == (cf.u0 + ctx.tr_omega) // 2
         assert all(u >= 1 for u in cf.period)
-        assert list(cf.sigma_period) == [cf.u0] + list(cf.period[:-1])
+        assert cf.unit_steps % 2 == 0 and cf.unit_steps in (cf.s, 2 * cf.s)
         # u_0 is the largest partial quotient of the purely periodic expansion
         assert max(cf.period) <= cf.u0
 
@@ -87,13 +86,17 @@ def test_convergent_rows():
 
 
 def test_convergent_norm_and_parity():
-    for d in (2, 3, 5, 6, 19, 31):
+    # N_i is read off the CF tails; the norms of the alpha_i must agree on
+    # every row through one unit period and past it, for every D <= 3000.
+    for d in squarefree_range(3000):
+        ctx = make_field(d)
         tab = convergents(d)
-        cf = expansion(d)
-        for i in range(-1, 4 * cf.s + 1):
+        cf = tab.cf
+        top = 4 * cf.s if d <= 31 else cf.unit_steps + 1
+        for i in range(-1, top + 1):
             p, q, alpha, absnorm = tab.row(i)
-            assert alpha == QuadInt(p - make_field(d).tr_omega * q, q, make_field(d))
-            assert abs(alpha.norm()) == absnorm
+            assert alpha == QuadInt(p - ctx.tr_omega * q, q, ctx)
+            assert tab.absnorm(i) == abs(alpha.norm()) == absnorm, (d, i)
             assert alpha.is_totally_positive() == (i % 2 == 1)
 
 
@@ -118,23 +121,22 @@ def test_semiconvergent_gluing_identity():
 
 
 def test_units_examples():
-    cf, tab = expansion(2), convergents(2)
-    un = units(cf, tab)
+    tab = convergents(2)
     ctx = make_field(2)
-    assert un.eps == QuadInt(1, 1, ctx)
-    assert un.eps.norm() == -1
-    assert un.eps_plus == QuadInt(3, 2, ctx)
-    assert un.s_parity == "odd"
+    assert tab.eps == QuadInt(1, 1, ctx)
+    assert tab.eps.norm() == -1
+    assert tab.eps_plus == QuadInt(3, 2, ctx)
+    assert tab.cf.unit_steps == 2  # s = 1 is odd: two CF periods
 
-    un3 = units(expansion(3), convergents(3))
+    tab3 = convergents(3)
     ctx3 = make_field(3)
-    assert un3.eps == un3.eps_plus == QuadInt(2, 1, ctx3)
-    assert un3.s_parity == "even"
+    assert tab3.eps == tab3.eps_plus == QuadInt(2, 1, ctx3)
+    assert tab3.cf.unit_steps == 2  # s = 2 is even: one CF period
 
-    un5 = units(expansion(5), convergents(5))
+    tab5 = convergents(5)
     ctx5 = make_field(5)
-    assert un5.eps == QuadInt(0, 1, ctx5)
-    assert un5.eps_plus == QuadInt(1, 1, ctx5)
+    assert tab5.eps == QuadInt(0, 1, ctx5)
+    assert tab5.eps_plus == QuadInt(1, 1, ctx5)
 
 
 def test_eps_plus_closes_one_unit_period():
@@ -144,10 +146,9 @@ def test_eps_plus_closes_one_unit_period():
             continue
         cf, tab = expansion(d), convergents(d)
         assert cf.unit_steps == (cf.s if cf.s % 2 == 0 else 2 * cf.s)
-        un = units(cf, tab)
-        assert un.eps_plus == tab.alpha(cf.unit_steps - 1), d
+        assert tab.eps_plus == tab.alpha(cf.unit_steps - 1), d
         # eps has norm (-1)^s, so eps_plus is eps or its square
-        assert un.eps_plus == (un.eps if cf.s % 2 == 0 else un.eps * un.eps), d
+        assert tab.eps_plus == (tab.eps if cf.s % 2 == 0 else tab.eps * tab.eps), d
         parities.add(cf.s % 2)
     assert parities == {0, 1}
 
@@ -155,7 +156,7 @@ def test_eps_plus_closes_one_unit_period():
 def test_unit_shifts_convergents():
     for d in (2, 3, 5, 13, 21, 46):
         cf, tab = expansion(d), convergents(d)
-        eps = units(cf, tab).eps
+        eps = tab.eps
         for i in range(-1, cf.s + 1):
             assert eps * tab.alpha(i) == tab.alpha(cf.s + i)
 

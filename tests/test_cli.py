@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -69,6 +70,11 @@ def test_cf_command_round_trip(capsys, cache_dir):
         doc = json.loads(out_of(capsys))
         assert doc == want, d
         assert QuadInt.from_json(doc["epsilon"]).norm() == (-1) ** doc["s"]
+    # eps and eps_plus of D = 1399721 have hundreds of digits, and each row's
+    # N comes from the CF tails; the digest pins the whole document.
+    assert run(["cf", "1399721", "--rows", "3"]) == 0
+    got = hashlib.sha256(out_of(capsys).encode()).hexdigest()
+    assert got == "bf66620446dc00db3ddbe286cd34d7972d2da2c43517cfd248c691d0cbafe52c"
 
 
 def test_cache_hits_are_byte_identical(capsys, cache_dir):

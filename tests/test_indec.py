@@ -17,7 +17,7 @@ def test_beta_examples():
     assert seq.beta(2) == q(3, 2, 2)
     assert seq.beta(-1) == q(2, -1, 2)
     seq5 = indec_seq(5)
-    assert seq5.beta(1) == seq5.units.eps_plus == q(1, 1, 5)
+    assert seq5.beta(1) == seq5.table.eps_plus == q(1, 1, 5)
     seq3 = indec_seq(3)
     assert seq3.beta(1) == q(2, 1, 3)  # u_1 = 1, so index 1 opens the i=1 block
 
@@ -52,7 +52,7 @@ def test_conjugate_symmetry_and_monotonicity():
 def test_unit_period_shift():
     for d in (2, 3, 5, 13, 21, 46):
         seq = indec_seq(d)
-        ep = seq.units.eps_plus
+        ep = seq.table.eps_plus
         w = 2 * seq.s_prime
         for j in range(-w, w + 1):
             assert seq.beta(j + seq.s_prime) == ep * seq.beta(j)
@@ -98,7 +98,7 @@ def test_indecomposables_leq_pinned_by_oracle():
         one = QuadInt(1, 0, make_field(d))
         assert seqd.indecomposables_leq(one) == [(0, one)]
     seq5 = indec_seq(5)
-    assert seq5.indecomposables_leq(seq5.units.eps_plus) == [(1, seq5.units.eps_plus)]
+    assert seq5.indecomposables_leq(seq5.table.eps_plus) == [(1, seq5.table.eps_plus)]
 
 
 def test_indecomposables_leq_matches_succeq_filter():
@@ -128,7 +128,7 @@ def test_indecomposable_norm_bound_and_attainment():
     # it: fields with a norm -1 fundamental unit from a pinned set.
     for d in (2, 5, 10, 13):
         seq = indec_seq(d)
-        assert seq.units.eps.norm() == -1
+        assert seq.table.eps.norm() == -1
         norms = [seq.beta(j).norm() for j in range(seq.s_prime)]
         assert all(1 <= n <= seq.ctx.c_d for n in norms)
         assert max(norms) == seq.ctx.c_d
@@ -170,7 +170,7 @@ def test_balanced_is_unit_multiple_with_small_skew():
     rng = random.Random(47)
     for d in (2, 13, 31):
         seq = indec_seq(d)
-        ep = seq.units.eps_plus
+        ep = seq.table.eps_plus
         for _ in range(20):
             j = rng.randint(0, seq.s_prime - 1)
             alpha = rng.randint(1, 5) * seq.beta(j) + rng.randint(0, 5) * seq.beta(j + 1)

@@ -58,7 +58,7 @@ def _squarest(seq, alpha):
     """The unit multiple of alpha with least trace: lattice_leq scans about
     trace/sqrt(delta) rows, and balanced() alone leaves a skew of up to
     eps_plus^2 (1.8e13 for D=94)."""
-    ep = seq.units.eps_plus
+    ep = seq.table.eps_plus
     bal = seq.balanced(alpha)
     return min((bal * ep.conjugate(), bal, bal * ep), key=QuadInt.trace)
 
@@ -72,7 +72,7 @@ def test_fan_support_matches_lattice_oracle():
     for d in squarefree_range(150):
         seq = indec_seq(d)
         ctx = seq.ctx
-        ep = seq.units.eps_plus
+        ep = seq.table.eps_plus
         for j in range(-12, 12):
             shapes = {(1, 0), (5, 5), (rng.randint(1, 5), rng.randint(0, 5))}
             for e, f in sorted(shapes):
@@ -439,7 +439,7 @@ def test_pk_symmetries_and_monotonicity():
     cap = 60
     for d in (2, 3, 5, 13, 21):
         seq = indec_seq(d)
-        ep = seq.units.eps_plus
+        ep = seq.table.eps_plus
         for _ in range(25):
             j = rng.randint(-seq.s_prime, seq.s_prime)
             alpha = rng.randint(1, 3) * seq.beta(j) + rng.randint(0, 2) * seq.beta(j + 1)
@@ -518,7 +518,7 @@ def test_pk_is_invariant_under_the_unit_and_conjugation(d, j, e, f):
     seq = indec_seq(d)
     alpha = e * seq.beta(j) + f * seq.beta(j + 1)
     want = pk(alpha, cap=30)
-    assert pk(alpha * seq.units.eps_plus, cap=30) == want
+    assert pk(alpha * seq.table.eps_plus, cap=30) == want
     assert pk(alpha.conjugate(), cap=30) == want
 
 

@@ -165,6 +165,17 @@ def test_lopsided_decision_has_no_cliff():
     assert value_attained(94, 35) == (False, None)
 
 
+def test_large_field_decision_builds_only_the_rows_it_reads():
+    # One totally positive unit period of D = 19335754 is 5,106 convergent
+    # rows; a decision reads only the first few, and never eps_plus.
+    d = 19335754
+    indec_seq.cache_clear()
+    value_attained(d, 11)
+    tab = indec_seq(d).table
+    assert len(tab._alpha) < 10
+    assert "eps_plus" not in vars(tab)
+
+
 def test_restricted_count_has_no_cliff(monkeypatch):
     # Nearly every total-positivity test of this run fails; on a chain of
     # indecomposables the counter stops at the first failure instead of
@@ -244,7 +255,7 @@ def test_value_attained_witness_is_unit_invariant():
         ok, w = value_attained(d, m)
         assert ok
         seq = indec_seq(d)
-        shifted = w * seq.units.eps_plus
+        shifted = w * seq.table.eps_plus
         assert pk(seq.balanced(shifted), cap=m + 1) == CountResult.exactly(m)
         assert pk(seq.balanced(w.conjugate()), cap=m + 1) == CountResult.exactly(m)
 
