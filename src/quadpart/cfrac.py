@@ -1,18 +1,17 @@
 """Periodic continued fractions for real quadratic fields.
 
-Expands w (the basis generator) with exact (P, Q) state arithmetic, exposes
-the purely periodic tails and the convergent/semiconvergent table, whose
-norms come from the tails and whose fundamental and smallest totally positive
-units are built on first read.  Partial quotients are
-indexed so that u_0 is the leading term of the purely periodic expansion of
-floor(xi) + w, and the expansion of w itself is [ceil(u_0/2); u_1, u_2, ...]
-with u_{k+s} = u_k.
+Expands w (the basis generator) on plain integers, exposes the purely
+periodic tails as exact (P, Q) pairs and the convergent/semiconvergent table,
+whose norms come from the tails and whose fundamental and smallest totally
+positive units are built on first read.  Partial quotients are indexed so
+that u_0 is the leading term of the purely periodic expansion of floor(xi) + w,
+and the expansion of w itself is [ceil(u_0/2); u_1, u_2, ...] with
+u_{k+s} = u_k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .qfield import (
@@ -20,45 +19,23 @@ from .qfield import (
     InternalError,
     BadIndex,
     QuadInt,
-    floor_surd,
     make_field,
     sign_surd,
     xi,
 )
 
 
-@dataclass(frozen=True)
-class CFState:
-    """The quadratic irrational (P + sqrt(delta)) / Q in lowest (P, Q) state form."""
-
-    P: int
-    Q: int
-    delta: int
-
-    def floor(self) -> int:
-        return floor_surd(self.P, 1, self.Q, self.delta)
-
-    def step(self) -> tuple[int, "CFState"]:
-        """One continued-fraction step: returns (partial quotient, next tail)."""
-        u = self.floor()
-        p2 = u * self.Q - self.P
-        num = self.delta - p2 * p2
-        if num % self.Q != 0:
-            raise InternalError(f"state invariant broken: {self.Q} !| {num}")
-        return u, CFState(p2, num // self.Q, self.delta)
-
-
 class CFData:
     """Period data of the continued fraction of w (and of floor(xi) + w).
 
     period holds (u_1, ..., u_s); u_s always equals u_0.  tails[i-1] is the
-    exact state of the i-th tail for 1 <= i <= s, and tails repeat with
-    period s.  unit_steps is the number of steps per totally positive unit:
-    alpha_{unit_steps - 1} = eps_plus.
+    pair (P, Q) of the i-th tail (P + sqrt(delta))/Q for 1 <= i <= s, and
+    tails repeat with period s.  unit_steps is the number of steps per
+    totally positive unit: alpha_{unit_steps - 1} = eps_plus.
     """
 
     def __init__(self, ctx: FieldCtx, u0: int, period: tuple[int, ...],
-                 tails: tuple[CFState, ...]):
+                 tails: tuple[tuple[int, int], ...]):
         self.ctx = ctx
         self.u0 = u0
         self.period = period
@@ -74,8 +51,8 @@ class CFData:
             return self.u0
         return self.period[(k - 1) % self.s]
 
-    def tail(self, i: int) -> CFState:
-        """Exact state of the i-th continued-fraction tail, i >= 1."""
+    def tail(self, i: int) -> tuple[int, int]:
+        """(P, Q) of the i-th continued-fraction tail (P + sqrt(delta))/Q, i >= 1."""
         if i < 1:
             raise BadIndex(f"tail index must be >= 1, got {i}")
         return self.tails[(i - 1) % self.s]
@@ -90,32 +67,39 @@ class CFData:
 
 
 def cf_expand(ctx: FieldCtx) -> CFData:
-    """Expand w = (tr + sqrt(delta))/2 and detect the period by state repetition."""
-    a0 = ctx.floor_omega
-    first = CFState(2 * a0 - ctx.tr_omega,
-                    (ctx.delta - (2 * a0 - ctx.tr_omega) ** 2) // 2,
-                    ctx.delta)
+    """Expand w = (tr + sqrt(delta))/2 and detect the period by tail repetition.
+
+    Every tail (P + sqrt(delta))/Q is reduced, so Q > 0; sqrt(delta) is
+    irrational, so its floor is (P + isqrt(delta)) // Q exactly.
+    """
+    delta = ctx.delta
+    u0 = 2 * ctx.floor_omega - ctx.tr_omega
+    if u0 * u0 >= delta:
+        raise InternalError(f"u_0^2 = {u0 * u0} must be < delta = {delta}")
+    root = math.isqrt(delta)
     # Defensive cap: the period length is O(sqrt(delta) log delta), so blowing
-    # through this many states means the state update is buggy.
-    cap = 10 * math.isqrt(ctx.delta) * max(1, int(math.log(ctx.delta))) + 100
+    # through this many steps means the tail update is buggy.
+    cap = 10 * root * max(1, int(math.log(delta))) + 100
+    first = (u0, (delta - u0 * u0) // 2)
     quotients: list[int] = []
-    tails: list[CFState] = [first]
-    state = first
+    tails = [first]
+    p, q = first
     for _ in range(cap):
-        u, state = state.step()
+        u = (p + root) // q
+        p = u * q - p
+        q, rem = divmod(delta - p * p, q)
+        if rem or q <= 0:
+            raise InternalError(f"tail invariant broken at P={p}: Q={q}, remainder {rem}")
         quotients.append(u)
-        if state == first:
+        if (p, q) == first:
             break
-        tails.append(state)
+        tails.append((p, q))
     else:
         raise InternalError(f"no period within {cap} steps for D={ctx.D}")
 
-    u0 = 2 * ctx.floor_omega - ctx.tr_omega
     period = tuple(quotients)
     if period[-1] != u0:
         raise InternalError(f"period must close with u_0={u0}, got {period}")
-    if u0 * u0 >= ctx.delta:
-        raise InternalError(f"u_0^2 = {u0 * u0} must be < delta = {ctx.delta}")
     return CFData(ctx, u0, period, tuple(tails))
 
 
@@ -161,7 +145,7 @@ class ConvergentTable:
         """N_i = |norm(alpha_i)|: 1 at i = -1, else Q/2 of the tail at i + 1."""
         if i < -1:
             raise BadIndex(f"convergent index must be >= -1, got {i}")
-        return 1 if i == -1 else self.cf.tail(i + 1).Q // 2
+        return 1 if i == -1 else self.cf.tail(i + 1)[1] // 2
 
     def row(self, i: int) -> tuple[int, int, QuadInt, int]:
         """(p_i, q_i, alpha_i, N_i) for i >= -1."""
@@ -195,10 +179,11 @@ class ConvergentTable:
 
 def tail_is_reduced(cf: CFData, i: int) -> bool:
     """Check u_i < tail_i < u_i + 1 exactly (tails lie strictly between)."""
-    st = cf.tail(i)
+    p, q = cf.tail(i)
     u = cf.u(i)
-    low = sign_surd(st.P - u * st.Q, 1, st.delta)  # sign of Q*(tail - u_i)
-    high = sign_surd(st.P - (u + 1) * st.Q, 1, st.delta)
+    delta = cf.ctx.delta
+    low = sign_surd(p - u * q, 1, delta)  # sign of Q*(tail - u_i)
+    high = sign_surd(p - (u + 1) * q, 1, delta)  # low > 0 > high also gives Q > 0
     return low > 0 and high < 0
 
 
@@ -207,17 +192,17 @@ def verify_tail_norm_identity(table: ConvergentTable, cf: CFData, i: int) -> boo
 
     Clearing denominators, the identity is equivalent to the pair of integer
     equations  N_{i+1}*(P^2 + delta) - delta*Q + N_i*Q^2 = 0  and
-    P*(2*N_{i+1} - Q) = 0 for the tail state (P, Q).  Also checks the derived
+    P*(2*N_{i+1} - Q) = 0 for the tail (P, Q).  Also checks the derived
     bound N_i * u_{i+1} < sqrt(delta), compared as squares.
     """
     # N is read off the convergents, not from table.absnorm (which reads it
     # off the tails), so the check compares two independent derivations.
     n_i = abs(table.alpha(i).norm())
     n_next = abs(table.alpha(i + 1).norm())
-    st = cf.tail(i + 2)
+    p, q = cf.tail(i + 2)
     delta = cf.ctx.delta
-    rational_part = n_next * (st.P * st.P + delta) - delta * st.Q + n_i * st.Q * st.Q
-    surd_part = st.P * (2 * n_next - st.Q)
+    rational_part = n_next * (p * p + delta) - delta * q + n_i * q * q
+    surd_part = p * (2 * n_next - q)
     bound = n_i * cf.u(i + 1)
     return rational_part == 0 and surd_part == 0 and bound * bound < delta
 

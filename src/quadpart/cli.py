@@ -190,6 +190,8 @@ def _cmd_decomp(args) -> int:
 
 
 def _cmd_pk(args) -> int:
+    if args.indec and not args.list:
+        raise BadIndex("--indec only applies to --list")
     ctx = make_field(args.D)
     alpha = QuadInt(args.a, args.b, ctx)
     full = pk(alpha, cap=args.cap)
@@ -245,10 +247,6 @@ def _scan_row(d: int, m: int, fast6: bool) -> dict:
     }
 
 
-def _scan_rows(m: int, xmax: int, fast6: bool) -> list[dict]:
-    return map_fields(functools.partial(_scan_row, m=m, fast6=fast6), squarefree_range(xmax))
-
-
 def _cmd_scan(args) -> int:
     if args.m < 1:  # checked here too: a scan of no fields checks no m
         raise BadIndex(f"m must be >= 1, got {args.m}")
@@ -259,8 +257,8 @@ def _cmd_scan(args) -> int:
     key = f"scan_m{args.m}_x{args.xmax}" + ("_fast6" if args.fast6 else "")
     payload = cache_get(key, args.no_cache)
     if payload is None:
-        rows = _scan_rows(args.m, args.xmax, args.fast6)
-        payload = {"rows": rows}
+        job = functools.partial(_scan_row, m=args.m, fast6=args.fast6)
+        payload = {"rows": map_fields(job, squarefree_range(args.xmax))}
         cache_put(key, payload, args.no_cache)
     buf = io.StringIO()
     writer = csv.DictWriter(

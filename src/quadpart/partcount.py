@@ -492,28 +492,24 @@ def gen_two_indec_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:
                 _emit(seq, found, i, u2 - 1, 2, f)
         # shapes with f past the unique range
         if u2 >= 3:
-            if u1 >= 2:
-                for e in range(1, u1):
-                    _emit(seq, found, i, 0, e, 2)
+            for e in range(1, u1):
+                _emit(seq, found, i, 0, e, 2)
         elif u2 == 2:
-            if u1 >= 2:
-                for e in range(1, u1):
-                    _emit(seq, found, i, 0, e, 2)
-                    _emit(seq, found, i, 0, e, 3)
+            for e in range(1, u1):
+                _emit(seq, found, i, 0, e, 2)
+                _emit(seq, found, i, 0, e, 3)
             _emit(seq, found, i, 0, u1, 2)
         else:  # u2 == 1
             if u4 >= 2:
-                if u1 >= 2:
-                    for e in range(1, u1):
-                        for f in range(u3 + 2, 2 * u3 + 3):
-                            _emit(seq, found, i, 0, e, f)
+                for e in range(1, u1):
+                    for f in range(u3 + 2, 2 * u3 + 3):
+                        _emit(seq, found, i, 0, e, f)
                 for f in range(u3 + 2, 2 * u3 + 2):
                     _emit(seq, found, i, 0, u1, f)
             else:  # u4 == 1
-                if u1 >= 2:
-                    for e in range(1, u1):
-                        for f in range(u3 + 2, 2 * u3 + 4):
-                            _emit(seq, found, i, 0, e, f)
+                for e in range(1, u1):
+                    for f in range(u3 + 2, 2 * u3 + 4):
+                        _emit(seq, found, i, 0, e, f)
                 for f in range(u3 + 2, 2 * u3 + 3):
                     _emit(seq, found, i, 0, u1, f)
         # boundary shape e = v_j - 1, f = v_{j+1} - 1

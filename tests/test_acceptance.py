@@ -38,6 +38,11 @@ from quadpart.theorems import (
 
 EF_DSET = [2, 3, 5, 6, 7, 10, 11, 13, 14, 17, 19, 21, 22, 23, 29]
 BOX_DSET = [2, 3, 6, 7, 10, 13]
+# D=26 has a partial quotient 10 at an odd position (doubles/pairs with
+# eight-plus partitions), D=19 has a (2, 1) block boundary, and D=17 has
+# flat u = 1 blocks followed by a larger quotient; together with the
+# fields elsewhere in the suite every generator case fires somewhere.
+BOX_CASES = [(d, 40) for d in BOX_DSET] + [(17, 50), (19, 50), (26, 60)]
 
 
 def report(num: int, started: float, description: str) -> None:
@@ -127,22 +132,23 @@ def test_criterion_05_characterizations_of_one_and_two():
                   "the oracle on full coefficient boxes")
 
 
-def _box_tools(d: int):
+def _box_tools(d: int, half_bound: int):
     """Box bound, membership test, and adaptive generator index for one field."""
     ctx = make_field(d)
     seq = indec_seq(d)
-    bound = (0, 80)  # embeddings <= 40*sqrt(delta), i.e. (0 + 80*sqrt(delta))/2
+    top = 2 * half_bound
+    bound = (0, top)  # embeddings <= half_bound*sqrt(delta), i.e. (0 + top*sqrt(delta))/2
 
     def in_box(x: QuadInt) -> bool:
         u, v = x.embedding_pair()
-        return (sign_surd(u, v - 80, ctx.delta) <= 0
-                and sign_surd(u, -v - 80, ctx.delta) <= 0)
+        return (sign_surd(u, v - top, ctx.delta) <= 0
+                and sign_surd(u, -v - top, ctx.delta) <= 0)
 
     i_max = 1
     while True:
         a = seq.table.alpha(i_max)
         u, v = a.embedding_pair()
-        if sign_surd(u, v - 80, ctx.delta) > 0:
+        if sign_surd(u, v - top, ctx.delta) > 0:
             break  # every later emission exceeds the box in one embedding
         i_max += 2
     return ctx, seq, bound, in_box, i_max
@@ -150,14 +156,14 @@ def _box_tools(d: int):
 
 def test_criterion_06_generator_completeness_in_boxes():
     t0 = time.time()
-    for d in BOX_DSET:
-        ctx, seq, bound, in_box, i_max = _box_tools(d)
+    for d, half_bound in BOX_CASES:
+        ctx, seq, bound, in_box, i_max = _box_tools(d, half_bound)
         box = _desc_real(ctx, lattice_leq(ctx, bound, bound))
 
         counter = PartitionCounter(ctx, box, cap=6)
         oracle_six = {c for c in box if counter.count(QuadInt(*c, ctx)) == 6}
         gen_six = {(x.a, x.b) for x in gen_six_partitions(seq, i_max) if in_box(x)}
-        assert gen_six == oracle_six, d
+        assert gen_six == oracle_six, (d, half_bound)
 
         # indecomposables inside the box, walked out from index 0
         ind_parts = []
@@ -174,9 +180,9 @@ def test_criterion_06_generator_completeness_in_boxes():
         oracle_two = {c for c in box if icounter.count(QuadInt(*c, ctx)) == 2}
         gen_two = {(x.a, x.b)
                    for x in gen_two_indec_partitions(seq, i_max) if in_box(x)}
-        assert gen_two == oracle_two, d
+        assert gen_two == oracle_two, (d, half_bound)
     report(6, t0, "six-partition and two-indecomposable generators are complete "
-                  "on embedding boxes for D in {2,3,6,7,10,13}")
+                  "on embedding boxes for D in {2,3,6,7,10,13,17,19,26}")
 
 
 def test_criterion_07_norm_bounds():

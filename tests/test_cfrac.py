@@ -1,10 +1,18 @@
+from types import SimpleNamespace
+
 import pytest
 import sympy
 from sympy.ntheory.continued_fraction import continued_fraction_periodic
 
-from quadpart.qfield import BadIndex, QuadInt, make_field, sign_surd
+from quadpart.qfield import (
+    BadIndex,
+    InternalError,
+    QuadInt,
+    floor_surd,
+    make_field,
+    sign_surd,
+)
 from quadpart.cfrac import (
-    CFState,
     cf_expand,
     convergents,
     expansion,
@@ -35,6 +43,17 @@ def test_expand_invariants():
         assert cf.unit_steps % 2 == 0 and cf.unit_steps in (cf.s, 2 * cf.s)
         # u_0 is the largest partial quotient of the purely periodic expansion
         assert max(cf.period) <= cf.u0
+    # A field context that breaks an invariant stops the expansion.
+    for delta, tr, floor_omega, message in [
+        (6, 1, 0, "remainder 1"),  # delta != tr^2 mod 4: Q does not divide
+        (4, 0, 0, "Q=0"),  # square delta: a tail reaches Q = 0
+        (2, 0, 0, "no period within"),  # u_0 = 0 is not floor(sqrt(2))
+        (7, 0, 1, "period must close with u_0"),  # delta != tr^2 mod 4
+        (8, 0, 2, "must be < delta"),  # u_0 = 4 > sqrt(8)
+    ]:
+        ctx = SimpleNamespace(D=delta, delta=delta, tr_omega=tr, floor_omega=floor_omega)
+        with pytest.raises(InternalError, match=message):
+            cf_expand(ctx)
 
 
 def test_expand_matches_sympy_for_all_squarefree_d_up_to_300():
@@ -56,23 +75,27 @@ def test_expand_matches_sympy_for_all_squarefree_d_up_to_300():
 
 
 def test_period_wraparound_matches_unwrapped_steps():
+    # Steps by the general floor_surd, independent of cf_expand's isqrt shortcut.
     for d in (2, 3, 5, 19, 31, 46):
         cf = expansion(d)
-        state = cf.tails[0]
+        delta = cf.ctx.delta
+        p, q = cf.tail(1)
         for k in range(1, 3 * cf.s + 2):
-            u, state = state.step()
+            u = floor_surd(p, 1, q, delta)
             assert u == cf.u(k)
+            p = u * q - p
+            q = (delta - p * p) // q
+            assert (p, q) == cf.tail(k + 1)
 
 
 def test_tails_exact():
-    cf = expansion(2)
-    assert cf.tail(1) == CFState(2, 2, 8)  # 1 + sqrt(2)
-    cf3 = expansion(3)
-    assert cf3.tail(2) == CFState(2, 2, 12)  # 1 + sqrt(3)
-    for d in (2, 3, 5, 13, 22):
+    assert expansion(2).tail(1) == (2, 2)  # (2 + sqrt(8))/2 = 1 + sqrt(2)
+    assert expansion(3).tail(2) == (2, 2)  # (2 + sqrt(12))/2 = 1 + sqrt(3)
+    # Every tail lies strictly between u_i and u_i + 1, checked with sign_surd.
+    for d in [*squarefree_range(3000), 1399721, 19335754]:
         cfd = expansion(d)
-        for i in range(1, 2 * cfd.s + 1):
-            assert tail_is_reduced(cfd, i)
+        for i in range(1, cfd.s + 1):
+            assert tail_is_reduced(cfd, i), (d, i)
 
 
 def test_convergent_rows():

@@ -262,6 +262,7 @@ def test_usage_errors(capsys, cache_dir):
     assert run(["field", "1"]) == 2
     assert run(["pk", "2", "1", "1"]) == 2  # not totally positive
     assert run(["pk", "2", "4", "2", "--cap", "-1"]) == 2  # negative cap
+    assert run(["pk", "2", "4", "2", "--indec"]) == 2  # --indec without --list
     assert run(["nonsense"]) == 2
     assert run(["gen", "2"]) == 2  # neither --pk nor --pki
     assert run(["gen", "2", "--pk", "6", "--pki", "2"]) == 2  # both

@@ -10,7 +10,6 @@ from quadpart.qfield import (
     QuadInt,
     floor_surd,
     make_field,
-    sign_surd,
 )
 from quadpart.indec import indec_seq
 from quadpart.theorems import squarefree_range
@@ -229,23 +228,6 @@ def test_closed_count_double_pair_formulas():
         closed_count_double_pair(seq, 1, 2, "double", restricted=True)
 
 
-def test_closed_count_matches_oracle_small():
-    for d in (2, 3, 10, 19):
-        seq = indec_seq(d)
-        for i in (-1, 1):
-            u = seq.cf.u(i + 2)
-            for r in range(u):
-                bj = seq.table.semiconvergent(i, r)
-                bj1 = seq.table.semiconvergent(i, r + 1)
-                for kind, target in (("double", 2 * bj), ("pair", bj + bj1)):
-                    for restricted in (True, False):
-                        want = closed_count_double_pair(seq, i, r, kind, restricted)
-                        bal = seq.balanced(target)
-                        got = (pk_indec(bal, cap=want + 1) if restricted
-                               else pk(bal, cap=want + 1))
-                        assert got == exact(want), (d, i, r, kind, restricted)
-
-
 def test_flat_run_radius():
     seq = indec_seq(2)
     assert flat_run_radius(seq, 1, 0) == 0  # v_1 = 2 between v_0 = v_2 = 4
@@ -333,50 +315,6 @@ def test_gen_six_examples():
     assert gen_six_partitions(indec_seq(5), 5) == []
 
 
-def test_generator_completeness_covers_remaining_case_shapes():
-    # D=26 has a partial quotient 10 at an odd position (doubles/pairs with
-    # eight-plus partitions), D=19 has a (2, 1) block boundary, and D=17 has
-    # flat u = 1 blocks followed by a larger quotient; together with the
-    # fields elsewhere in the suite every generator case fires somewhere.
-    for d, half_bound in ((17, 50), (19, 50), (26, 60)):
-        ctx = make_field(d)
-        seq = indec_seq(d)
-        bound = (0, 2 * half_bound)
-
-        def in_box(x):
-            u, v = x.embedding_pair()
-            return (sign_surd(u, v - 2 * half_bound, ctx.delta) <= 0
-                    and sign_surd(u, -v - 2 * half_bound, ctx.delta) <= 0)
-
-        i_max = 1
-        while True:
-            u, v = seq.table.alpha(i_max).embedding_pair()
-            if sign_surd(u, v - 2 * half_bound, ctx.delta) > 0:
-                break
-            i_max += 2
-        box = _desc_real(ctx, lattice_leq(ctx, bound, bound))
-        counter = PartitionCounter(ctx, box, cap=6)
-        oracle_six = {c for c in box if counter.count(QuadInt(*c, ctx)) == 6}
-        gen_six = {(x.a, x.b) for x in gen_six_partitions(seq, i_max) if in_box(x)}
-        assert gen_six == oracle_six, d
-
-        ind = []
-        j = 0
-        while in_box(seq.beta(j)):
-            ind.append(seq.beta(j))
-            j += 1
-        j = -1
-        while in_box(seq.beta(j)):
-            ind.append(seq.beta(j))
-            j -= 1
-        icounter = PartitionCounter(
-            ctx, _desc_real(ctx, [(b.a, b.b) for b in ind]), cap=2)
-        oracle_two = {c for c in box if icounter.count(QuadInt(*c, ctx)) == 2}
-        gen_two = {(x.a, x.b)
-                   for x in gen_two_indec_partitions(seq, i_max) if in_box(x)}
-        assert gen_two == oracle_two, d
-
-
 def test_closed_count_small_dispatch():
     seq = indec_seq(2)
     assert closed_count_small(seq, q(4, 2, 2)) == exact(3)
@@ -432,36 +370,6 @@ def test_six_or_nine_witness():
     alpha, predicted = six_or_nine_witness(3)
     assert alpha == q(6, 2, 3) and predicted == 9
     assert six_or_nine_witness(5) == (None, None)
-
-
-def test_pk_symmetries_and_monotonicity():
-    rng = random.Random(53)
-    cap = 60
-    for d in (2, 3, 5, 13, 21):
-        seq = indec_seq(d)
-        ep = seq.table.eps_plus
-        for _ in range(25):
-            j = rng.randint(-seq.s_prime, seq.s_prime)
-            alpha = rng.randint(1, 3) * seq.beta(j) + rng.randint(0, 2) * seq.beta(j + 1)
-            a = pk(seq.balanced(alpha), cap=cap)
-            assert pk(seq.balanced(alpha.conjugate()), cap=cap) == a
-            assert pk(seq.balanced(ep * alpha), cap=cap) == a
-            ai = pk_indec(alpha, cap=cap)
-            assert pk_indec(alpha.conjugate(), cap=cap) == ai
-            assert pk_indec(ep * alpha, cap=cap) == ai
-            beta = alpha + seq.beta(rng.randint(-1, 2))
-            b = pk(seq.balanced(beta), cap=cap)
-            if a.exact and b.exact:
-                assert a.value < b.value
-            elif a.exact:
-                assert a.value <= cap < b.value
-            else:
-                assert not b.exact
-            bi = pk_indec(beta, cap=cap)
-            if ai.exact and bi.exact:
-                assert ai.value <= bi.value
-            elif not ai.exact:
-                assert not bi.exact
 
 
 def test_shared_counter_matches_fresh_calls():
