@@ -13,7 +13,7 @@ from .qfield import (
     SurdExpr,
     make_field,
 )
-from .cfrac import CFData, ConvergentTable, cf_expand, convergents, expansion
+from .cfrac import CFData, ConvergentTable, cf_expand
 from .indec import Decomp, IndecSeq, indec_seq
 from .partcount import (
     CountResult,

@@ -19,7 +19,6 @@ from .qfield import (
     InternalError,
     BadIndex,
     QuadInt,
-    make_field,
     sign_surd,
     xi,
 )
@@ -187,7 +186,7 @@ def tail_is_reduced(cf: CFData, i: int) -> bool:
     return low > 0 and high < 0
 
 
-def verify_tail_norm_identity(table: ConvergentTable, cf: CFData, i: int) -> bool:
+def verify_tail_norm_identity(table: ConvergentTable, i: int) -> bool:
     """Exact check that N_{i+1} equals sqrt(delta)/g - N_i/g^2 for the tail g at i+2.
 
     Clearing denominators, the identity is equivalent to the pair of integer
@@ -199,17 +198,10 @@ def verify_tail_norm_identity(table: ConvergentTable, cf: CFData, i: int) -> boo
     # off the tails), so the check compares two independent derivations.
     n_i = abs(table.alpha(i).norm())
     n_next = abs(table.alpha(i + 1).norm())
+    cf = table.cf
     p, q = cf.tail(i + 2)
     delta = cf.ctx.delta
     rational_part = n_next * (p * p + delta) - delta * q + n_i * q * q
     surd_part = p * (2 * n_next - q)
     bound = n_i * cf.u(i + 1)
     return rational_part == 0 and surd_part == 0 and bound * bound < delta
-
-
-def expansion(d: int) -> CFData:
-    return cf_expand(make_field(d))
-
-
-def convergents(d: int) -> ConvergentTable:
-    return ConvergentTable(expansion(d))

@@ -106,9 +106,10 @@ def cache_get(key: str, no_cache: bool) -> Optional[dict]:
     except (OSError, ValueError):
         return None
     if (not isinstance(entry, dict) or entry.get("version") != SCHEMA_VERSION
-            or entry.get("code") != code_fingerprint()):
+            or entry.get("code") != code_fingerprint() or entry.get("key") != key):
         return None
-    return entry.get("payload")
+    payload = entry.get("payload")  # a scan payload: {"rows": [...]}
+    return payload if isinstance(payload, dict) and isinstance(payload.get("rows"), list) else None
 
 
 def cache_put(key: str, payload: dict, no_cache: bool) -> None:

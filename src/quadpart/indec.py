@@ -123,11 +123,13 @@ class IndecSeq:
                 hi = mid
         return lo
 
-    def window(self, alpha: QuadInt) -> tuple[int, int]:
-        """Index range [lo, hi] of all beta_j with beta_j <= alpha in both embeddings."""
-        hi = self.max_j_real_leq(alpha)
-        lo = -self.max_j_real_leq(alpha.conjugate())
-        return lo, hi
+    def indec_window_leq(self, x1: QuadInt, x2: QuadInt) -> list[tuple[int, int]]:
+        """Coordinates of every beta_j with real embedding <= real(x1) and
+        conjugate embedding <= real(x2), descending by real value.  With
+        x2 = conjugate(alpha) these are the indecomposables <= alpha."""
+        hi = self.max_j_real_leq(x1)
+        lo = -self.max_j_real_leq(x2)
+        return [(b.a, b.b) for b in map(self.beta, range(hi, lo - 1, -1))]
 
     # -- core operations ----------------------------------------------------
 
@@ -142,7 +144,8 @@ class IndecSeq:
         """
         if not alpha.is_totally_positive():
             raise NotTotallyPositive(f"{alpha} is not totally positive")
-        lo, hi = self.window(alpha)
+        hi = self.max_j_real_leq(alpha)
+        lo = -self.max_j_real_leq(alpha.conjugate())
         hits = []
         for j in range(lo - 1, hi + 2):  # one index of slack on each side
             g = self.beta(j)
@@ -160,21 +163,6 @@ class IndecSeq:
             raise InternalError(
                 f"expected exactly one decomposition of {alpha}, found {hits}")
         return hits[0]
-
-    def indecomposables_leq(self, alpha: QuadInt) -> list[tuple[int, QuadInt]]:
-        """All (j, beta_j) with beta_j <= alpha in the partial order, ascending j."""
-        if not alpha.is_totally_positive():
-            raise NotTotallyPositive(f"{alpha} is not totally positive")
-        # Exact: real(beta_j) ascends in j and its conjugate descends.
-        return self.indec_window_leq(alpha, alpha.conjugate())
-
-    def indec_window_leq(self, x1: QuadInt, x2: QuadInt) -> list[tuple[int, QuadInt]]:
-        """All (j, beta_j) with real embedding <= real(x1) and conjugate
-        embedding <= real(x2), ascending j.  Superset of indecomposables_leq
-        for every alpha whose embeddings are bounded by those two values."""
-        hi = self.max_j_real_leq(x1)
-        lo = -self.max_j_real_leq(x2)
-        return [(j, self.beta(j)) for j in range(lo, hi + 1)]
 
     def is_indecomposable(self, alpha: QuadInt) -> bool:
         d = self.canonical_decomp(alpha)

@@ -25,10 +25,8 @@ from .qfield import (
     NotTotallyPositive,
     QuadInt,
     floor_surd,
-    make_field,
     sign_surd,
 )
-from .cfrac import expansion
 from .indec import IndecSeq, indec_seq
 
 # -- count results -------------------------------------------------------------
@@ -105,7 +103,7 @@ def _support_tuples(alpha: QuadInt) -> list[tuple[int, int]]:
     """Coordinates of every totally positive gamma <= alpha, descending by real value.
 
     gamma = e*beta_j + f*beta_{j+1} has beta_j <= gamma <= alpha, so j lies in
-    window(alpha), the run of j with beta_j <= alpha; adding a totally
+    the run of j with beta_j <= alpha that indec_window_leq reads; adding a totally
     positive element never comes back below alpha, so the j-, e- and f-loops
     each stop at their first miss.  The work is the support size plus the
     window width, whatever the shape of alpha.
@@ -251,13 +249,14 @@ def _count(alpha: QuadInt, support: Callable[[QuadInt], list[tuple[int, int]]],
     if cap is not None and cap < 0:
         raise BadIndex(f"cap must be >= 0, got {cap}")
     if alpha.is_zero():
-        return CountResult.exactly(1)
-    if not alpha.is_totally_positive():
+        count = 1  # the empty partition
+    elif not alpha.is_totally_positive():
         raise NotTotallyPositive(f"{alpha} is not totally positive")
-    counter = PartitionCounter(alpha.ctx, support(alpha), cap)
-    if memo is not None:
-        counter._memo = memo
-    count = counter.count(alpha)
+    else:
+        counter = PartitionCounter(alpha.ctx, support(alpha), cap)
+        if memo is not None:
+            counter._memo = memo
+        count = counter.count(alpha)
     if cap is not None and count > cap:
         return CountResult.at_least(cap + 1)
     return CountResult.exactly(count)
@@ -270,9 +269,7 @@ def pk(alpha: QuadInt, cap: Optional[int] = None) -> CountResult:
 
 def indec_support(alpha: QuadInt) -> list[tuple[int, int]]:
     """Indecomposables <= alpha as coordinate tuples, descending by real value."""
-    seq = indec_seq(alpha.ctx.D)
-    rows = seq.indecomposables_leq(alpha)  # ascending j = ascending real value
-    return [(b.a, b.b) for _, b in reversed(rows)]
+    return indec_seq(alpha.ctx.D).indec_window_leq(alpha, alpha.conjugate())
 
 
 def pk_indec(alpha: QuadInt, cap: Optional[int] = None) -> CountResult:
@@ -284,7 +281,7 @@ def list_partitions(alpha: QuadInt, indec_only: bool = False,
                     limit: Optional[int] = None) -> list[list[QuadInt]]:
     """Explicit partitions of alpha (parts descending); mainly for CLI display."""
     if alpha.is_zero():
-        return [[]]
+        return [[]][:limit]
     if not alpha.is_totally_positive():
         raise NotTotallyPositive(f"{alpha} is not totally positive")
     ctx = alpha.ctx
@@ -566,7 +563,7 @@ def _sorted_quadints(ctx: FieldCtx, found: dict) -> list[QuadInt]:
 def exists_six_partitions(d: int) -> bool:
     """Whether the field of discriminant parameter d has an element with
     exactly six partitions, read off the continued-fraction period."""
-    cf = expansion(d)
+    cf = indec_seq(d).cf
     s = cf.s
     if any(cf.u(i) >= 8 for i in range(1, 2 * s + 1, 2)):
         return True
@@ -582,11 +579,11 @@ def six_or_nine_witness(d: int) -> tuple[Optional[QuadInt], Optional[int]]:
     """
     if d == 5:
         return None, None
-    ctx = make_field(d)
+    seq = indec_seq(d)
     if d % 4 == 1:
         ceil_two_xi = math.isqrt(d)  # 2*xi = sqrt(d) - 1
     else:
         ceil_two_xi = math.isqrt(4 * d) + 1  # 2*xi = sqrt(4d), irrational
-    alpha = QuadInt(ceil_two_xi + 2, 2, ctx)
-    predicted = 6 if expansion(d).u(1) >= 2 else 9
+    alpha = QuadInt(ceil_two_xi + 2, 2, seq.ctx)
+    predicted = 6 if seq.cf.u(1) >= 2 else 9
     return alpha, predicted

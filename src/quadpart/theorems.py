@@ -195,8 +195,7 @@ def _shared_indec_counter(seq: IndecSeq, m: int, cap: int) -> "PartitionCounter"
     def corner(j: int) -> QuadInt:
         return (m * seq.v(j) - 1) * seq.beta(j) + (m * seq.v(j + 1) - 1) * seq.beta(j + 1)
 
-    rows = seq.indec_window_leq(corner(seq.s_prime - 1), corner(0).conjugate())
-    parts = [(b.a, b.b) for _, b in reversed(rows)]  # descending real value
+    parts = seq.indec_window_leq(corner(seq.s_prime - 1), corner(0).conjugate())
     return PartitionCounter(seq.ctx, parts, cap)
 
 

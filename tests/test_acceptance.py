@@ -9,7 +9,7 @@ import random
 import time
 
 from quadpart.qfield import QuadInt, make_field, sign_surd
-from quadpart.cfrac import convergents, expansion, verify_tail_norm_identity
+from quadpart.cfrac import verify_tail_norm_identity
 from quadpart.indec import indec_seq
 from quadpart.partcount import (
     CountResult,
@@ -83,9 +83,9 @@ def test_criterion_03_six_or_nine_construction():
         # the half-integer test on xi is exactly the u_1 >= 2 condition
         frac_above_half = sign_surd(2 * (ctx.floor_xi + 1) - 1 + ctx.tr_omega,
                                     -1, ctx.delta) > 0
-        assert frac_above_half == (expansion(d).u(1) >= 2)
-        assert predicted == (6 if frac_above_half else 9)
         seq = indec_seq(d)
+        assert frac_above_half == (seq.cf.u(1) >= 2)
+        assert predicted == (6 if frac_above_half else 9)
         got = pk(seq.balanced(alpha), cap=10)
         assert got == CountResult.exactly(predicted), (d, got, predicted)
     report(3, t0, "constructed element has exactly 6 or 9 partitions, all D <= 100")
@@ -203,9 +203,8 @@ def test_criterion_08_structural_identities():
     t0 = time.time()
     for d in first_n_squarefree(100):
         ctx = make_field(d)
-        cf = expansion(d)
-        tab = convergents(d)
         seq = indec_seq(d)
+        cf, tab = seq.cf, seq.table
         s, sp = cf.s, seq.s_prime
         span = (s if s % 2 == 0 else 2 * s)
         for j in range(-2 * sp - 1, 2 * sp + 2):
@@ -219,7 +218,7 @@ def test_criterion_08_structural_identities():
         for i in range(-1, s + 1):
             assert tab.eps * tab.alpha(i) == tab.alpha(s + i)
         for i in range(-1, 2 * s + 1):
-            assert verify_tail_norm_identity(tab, cf, i)
+            assert verify_tail_norm_identity(tab, i)
             lhs = tab.absnorm(i) * cf.u(i + 1)
             assert lhs * lhs < ctx.delta
     report(8, t0, "three-term relation, gluing, parity, unit shifts, and tail "

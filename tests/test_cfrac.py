@@ -12,29 +12,24 @@ from quadpart.qfield import (
     make_field,
     sign_surd,
 )
-from quadpart.cfrac import (
-    cf_expand,
-    convergents,
-    expansion,
-    tail_is_reduced,
-    verify_tail_norm_identity,
-)
+from quadpart.cfrac import cf_expand, tail_is_reduced, verify_tail_norm_identity
+from quadpart.indec import indec_seq
 from quadpart.theorems import first_n_squarefree, squarefree_range
 
 
 def test_expand_examples():
-    cf = expansion(2)
+    cf = indec_seq(2).cf
     assert (cf.u0, list(cf.period), cf.s) == (2, [2], 1)
-    cf = expansion(5)
+    cf = indec_seq(5).cf
     assert (cf.u0, list(cf.period), cf.s) == (1, [1], 1)
-    cf = expansion(3)
+    cf = indec_seq(3).cf
     assert (cf.u0, list(cf.period), cf.s) == (2, [1, 2], 2)
 
 
 def test_expand_invariants():
     for d in first_n_squarefree(60):
         ctx = make_field(d)
-        cf = expansion(d)
+        cf = indec_seq(d).cf
         assert cf.period[-1] == cf.u0
         assert cf.u0 == 2 * ctx.floor_omega - ctx.tr_omega
         assert cf.u0 * cf.u0 < ctx.delta
@@ -68,7 +63,7 @@ def test_expand_matches_sympy_for_all_squarefree_d_up_to_300():
             per = got[0]
             got = [per[0], per[1:] + per[:1]]
         a0, period = got
-        cf = expansion(d)
+        cf = indec_seq(d).cf
         assert (a0, tuple(period)) == ((cf.u0 + 1) // 2, cf.period), d
         checked += 1
     assert checked == 182
@@ -77,7 +72,7 @@ def test_expand_matches_sympy_for_all_squarefree_d_up_to_300():
 def test_period_wraparound_matches_unwrapped_steps():
     # Steps by the general floor_surd, independent of cf_expand's isqrt shortcut.
     for d in (2, 3, 5, 19, 31, 46):
-        cf = expansion(d)
+        cf = indec_seq(d).cf
         delta = cf.ctx.delta
         p, q = cf.tail(1)
         for k in range(1, 3 * cf.s + 2):
@@ -89,23 +84,23 @@ def test_period_wraparound_matches_unwrapped_steps():
 
 
 def test_tails_exact():
-    assert expansion(2).tail(1) == (2, 2)  # (2 + sqrt(8))/2 = 1 + sqrt(2)
-    assert expansion(3).tail(2) == (2, 2)  # (2 + sqrt(12))/2 = 1 + sqrt(3)
+    assert indec_seq(2).cf.tail(1) == (2, 2)  # (2 + sqrt(8))/2 = 1 + sqrt(2)
+    assert indec_seq(3).cf.tail(2) == (2, 2)  # (2 + sqrt(12))/2 = 1 + sqrt(3)
     # Every tail lies strictly between u_i and u_i + 1, checked with sign_surd.
     for d in [*squarefree_range(3000), 1399721, 19335754]:
-        cfd = expansion(d)
+        cfd = indec_seq(d).cf
         for i in range(1, cfd.s + 1):
             assert tail_is_reduced(cfd, i), (d, i)
 
 
 def test_convergent_rows():
-    tab = convergents(2)
+    tab = indec_seq(2).table
     assert tab.alpha(-1) == QuadInt(1, 0, make_field(2))
     assert tab.alpha(0) == QuadInt(1, 1, make_field(2))
     assert tab.alpha(1) == QuadInt(3, 2, make_field(2))
     assert tab.absnorm(1) == 1
     for d in (2, 3, 5, 19):
-        assert convergents(d).absnorm(-1) == 1
+        assert indec_seq(d).table.absnorm(-1) == 1
 
 
 def test_convergent_norm_and_parity():
@@ -113,7 +108,7 @@ def test_convergent_norm_and_parity():
     # every row through one unit period and past it, for every D <= 3000.
     for d in squarefree_range(3000):
         ctx = make_field(d)
-        tab = convergents(d)
+        tab = indec_seq(d).table
         cf = tab.cf
         top = 4 * cf.s if d <= 31 else cf.unit_steps + 1
         for i in range(-1, top + 1):
@@ -124,11 +119,11 @@ def test_convergent_norm_and_parity():
 
 
 def test_semiconvergent_examples():
-    tab = convergents(2)
+    tab = indec_seq(2).table
     ctx = make_field(2)
     assert tab.semiconvergent(-1, 1) == QuadInt(2, 1, ctx)
     assert tab.semiconvergent(-1, 2) == tab.semiconvergent(1, 0)
-    assert convergents(3).semiconvergent(-1, 0) == QuadInt(1, 0, make_field(3))
+    assert indec_seq(3).table.semiconvergent(-1, 0) == QuadInt(1, 0, make_field(3))
     with pytest.raises(BadIndex):
         tab.semiconvergent(0, 0)
     with pytest.raises(BadIndex):
@@ -137,26 +132,26 @@ def test_semiconvergent_examples():
 
 def test_semiconvergent_gluing_identity():
     for d in (2, 3, 5, 19, 31):
-        tab = convergents(d)
-        cf = expansion(d)
+        tab = indec_seq(d).table
+        cf = tab.cf
         for i in range(-1, 2 * cf.s + 2, 2):
             assert tab.semiconvergent(i, cf.u(i + 2)) == tab.semiconvergent(i + 2, 0)
 
 
 def test_units_examples():
-    tab = convergents(2)
+    tab = indec_seq(2).table
     ctx = make_field(2)
     assert tab.eps == QuadInt(1, 1, ctx)
     assert tab.eps.norm() == -1
     assert tab.eps_plus == QuadInt(3, 2, ctx)
     assert tab.cf.unit_steps == 2  # s = 1 is odd: two CF periods
 
-    tab3 = convergents(3)
+    tab3 = indec_seq(3).table
     ctx3 = make_field(3)
     assert tab3.eps == tab3.eps_plus == QuadInt(2, 1, ctx3)
     assert tab3.cf.unit_steps == 2  # s = 2 is even: one CF period
 
-    tab5 = convergents(5)
+    tab5 = indec_seq(5).table
     ctx5 = make_field(5)
     assert tab5.eps == QuadInt(0, 1, ctx5)
     assert tab5.eps_plus == QuadInt(1, 1, ctx5)
@@ -167,7 +162,8 @@ def test_eps_plus_closes_one_unit_period():
     for d in range(2, 301):
         if any(e > 1 for e in sympy.factorint(d).values()):
             continue
-        cf, tab = expansion(d), convergents(d)
+        tab = indec_seq(d).table
+        cf = tab.cf
         assert cf.unit_steps == (cf.s if cf.s % 2 == 0 else 2 * cf.s)
         assert tab.eps_plus == tab.alpha(cf.unit_steps - 1), d
         # eps has norm (-1)^s, so eps_plus is eps or its square
@@ -178,32 +174,33 @@ def test_eps_plus_closes_one_unit_period():
 
 def test_unit_shifts_convergents():
     for d in (2, 3, 5, 13, 21, 46):
-        cf, tab = expansion(d), convergents(d)
+        tab = indec_seq(d).table
+        cf = tab.cf
         eps = tab.eps
         for i in range(-1, cf.s + 1):
             assert eps * tab.alpha(i) == tab.alpha(cf.s + i)
 
 
 def test_tail_norm_identity():
-    cf, tab = expansion(2), convergents(2)
-    assert verify_tail_norm_identity(tab, cf, -1)
-    cf3, tab3 = expansion(3), convergents(3)
+    assert verify_tail_norm_identity(indec_seq(2).table, -1)
+    tab3 = indec_seq(3).table
     assert tab3.absnorm(0) == 2
-    assert verify_tail_norm_identity(tab3, cf3, -1)
+    assert verify_tail_norm_identity(tab3, -1)
     for d in (2, 3, 5, 6, 19, 31, 46):
-        cfd, tabd = expansion(d), convergents(d)
-        for i in range(-1, 2 * cfd.s + 1):
-            assert verify_tail_norm_identity(tabd, cfd, i)
+        tabd = indec_seq(d).table
+        for i in range(-1, 2 * tabd.cf.s + 1):
+            assert verify_tail_norm_identity(tabd, i)
 
 
 def test_tail_norm_bound_is_strict_surd_compare():
     # The bound N_i * u_{i+1} < sqrt(delta) must be compared as squares.
     for d in (2, 7, 23):
-        cfd, tabd = expansion(d), convergents(d)
+        tabd = indec_seq(d).table
+        cfd = tabd.cf
         for i in range(-1, cfd.s + 1):
             lhs = tabd.absnorm(i) * cfd.u(i + 1)
             assert sign_surd(-lhs, 1, make_field(d).delta) > 0
 
 
 def test_cf_json():
-    assert expansion(2).to_json() == {"D": 2, "u0": 2, "period": [2], "s": 1}
+    assert indec_seq(2).cf.to_json() == {"D": 2, "u0": 2, "period": [2], "s": 1}

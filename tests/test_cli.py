@@ -110,6 +110,26 @@ def test_cache_entries_that_are_not_objects_are_ignored(capsys, cache_dir):
         assert out_of(capsys) == good, text
 
 
+def test_cache_entries_for_other_keys_or_malformed_are_recomputed(capsys, cache_dir):
+    want = {}
+    for m in (3, 4):
+        assert run(["--no-cache", "scan", "--m", str(m), "--xmax", "13"]) == 0
+        want[m] = out_of(capsys)
+    assert want[3] != want[4]
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
+    out_of(capsys)
+    path = cache_dir / "v1" / "scan_m3_x13.json"
+    (cache_dir / "v1" / "scan_m4_x13.json").write_text(path.read_text())
+    assert run(["scan", "--m", "4", "--xmax", "13"]) == 0
+    assert out_of(capsys) == want[4]  # an entry stored under another key
+    entry = json.loads(path.read_text())
+    for payload in ({"rows": 5}, {"rows": {}}, [], None):
+        entry["payload"] = payload
+        path.write_text(json.dumps(entry))
+        assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
+        assert out_of(capsys) == want[3], payload
+
+
 def _fresh_interpreter(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

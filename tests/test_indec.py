@@ -87,31 +87,34 @@ def test_canonical_decomp_rejects_nonpositive():
         seq.canonical_decomp(q(0, 0, 2))
 
 
-def test_indecomposables_leq_pinned_by_oracle():
+def test_indec_window_leq_pinned_by_oracle():
+    def below(seq, alpha):
+        return seq.indec_window_leq(alpha, alpha.conjugate())
+
     seq = indec_seq(2)
-    got = seq.indecomposables_leq(q(4, 2, 2))
+    got = below(seq, q(4, 2, 2))
     # beta_{-1} = 2 - sqrt(2) fails the conjugate embedding (2+sqrt(2) > 4-2sqrt(2)),
-    # so the list is exactly indices 0..2.
-    assert [(j, b) for j, b in got] == [(0, q(1, 0, 2)), (1, q(2, 1, 2)), (2, q(3, 2, 2))]
+    # so the list is exactly indices 2..0.
+    assert got == [(3, 2), (2, 1), (1, 0)]
     for d in (2, 5, 7):
-        seqd = indec_seq(d)
-        one = QuadInt(1, 0, make_field(d))
-        assert seqd.indecomposables_leq(one) == [(0, one)]
+        assert below(indec_seq(d), QuadInt(1, 0, make_field(d))) == [(1, 0)]
     seq5 = indec_seq(5)
-    assert seq5.indecomposables_leq(seq5.table.eps_plus) == [(1, seq5.table.eps_plus)]
+    eps_plus = seq5.table.eps_plus
+    assert seq5.beta(1) == eps_plus
+    assert below(seq5, eps_plus) == [(eps_plus.a, eps_plus.b)]
 
 
-def test_indecomposables_leq_matches_succeq_filter():
+def test_indec_window_leq_matches_succeq_filter():
     rng = random.Random(43)
     for d in (2, 3, 13):
         seq = indec_seq(d)
         for _ in range(25):
             j = rng.randint(-seq.s_prime, seq.s_prime)
             alpha = rng.randint(1, 4) * seq.beta(j) + rng.randint(0, 4) * seq.beta(j + 1)
-            got = seq.indecomposables_leq(alpha)
+            got = seq.indec_window_leq(alpha, alpha.conjugate())
             w = 3 * seq.s_prime + 4
-            brute = [(k, seq.beta(k)) for k in range(-w, w + 1)
-                     if alpha.succeq(seq.beta(k))]
+            brute = [(b.a, b.b) for b in map(seq.beta, range(w, -w - 1, -1))
+                     if alpha.succeq(b)]
             assert got == brute
 
 

@@ -197,6 +197,16 @@ def test_pk_rejects_negative_cap():
     assert pk(q(4, 2, 2), cap=0) == CountResult.at_least(1)
 
 
+def test_zero_element_obeys_cap_and_limit():
+    zero, one = q(0, 0, 2), q(1, 0, 2)
+    for fn in (pk, pk_indec):
+        assert fn(zero) == fn(zero, cap=1) == exact(1)  # the empty partition
+        assert fn(zero, cap=0) == fn(one, cap=0) == CountResult.at_least(1)
+    for indec_only in (False, True):
+        assert list_partitions(zero, indec_only) == list_partitions(zero, indec_only, 1) == [[]]
+        assert list_partitions(zero, indec_only, 0) == list_partitions(one, indec_only, 0) == []
+
+
 def test_pk_indec_examples():
     assert pk_indec(q(4, 2, 2)) == exact(2)
     seq = indec_seq(2)

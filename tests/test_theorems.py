@@ -4,17 +4,19 @@ from functools import cmp_to_key
 import pytest
 from sympy import partition
 
-from quadpart import partcount, theorems
+from quadpart import cfrac, indec, partcount, theorems
 from quadpart.qfield import BadIndex, QuadInt, make_field, sign_surd, _is_squarefree
 from quadpart.indec import indec_seq
 from quadpart.partcount import (
     CountResult,
     PartitionCounter,
+    exists_six_partitions,
     gen_two_indec_partitions,
     indec_support,
     list_partitions,
     pk,
     pk_indec,
+    six_or_nine_witness,
     _support_tuples,
 )
 from quadpart.theorems import (
@@ -217,7 +219,7 @@ def _all_corners_window(seq, m):
                for j in range(seq.s_prime)]
     big_real = max(corners, key=by_real)
     big_conj = max((c.conjugate() for c in corners), key=by_real)
-    return [(b.a, b.b) for _, b in reversed(seq.indec_window_leq(big_real, big_conj))]
+    return seq.indec_window_leq(big_real, big_conj)
 
 
 def test_shared_counter_parts_match_all_corners_oracle():
@@ -278,6 +280,24 @@ def test_scan_keeps_only_a_bounded_field_cache():
             members = vars(obj).values() if isinstance(obj, type) else ()
             cached |= {id(f) for f in (obj, *members) if hasattr(f, "cache_info")}
     assert cached == {id(indec_seq)}
+
+
+def test_one_cf_expansion_per_field(monkeypatch):
+    expanded = []
+    expand = cfrac.cf_expand
+
+    def counting(ctx):
+        expanded.append(ctx.D)
+        return expand(ctx)
+
+    for mod in (cfrac, indec):
+        monkeypatch.setattr(mod, "cf_expand", counting)
+    indec_seq.cache_clear()
+    d = 31
+    exists_six_partitions(d)
+    six_or_nine_witness(d)
+    value_attained(d, 6)
+    assert expanded == [d]
 
 
 def test_fast_six_matches_decision_procedure():
