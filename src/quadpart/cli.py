@@ -3,22 +3,21 @@ scans, and density reports, with JSON/CSV output.  Scan results are cached
 on disk; in memory, state is kept only for the most recently used fields.
 Scans and density reports decide one field per job through
 theorems.map_fields, which forks worker processes for long field lists and
-returns the results in ascending D; only this process reads or writes the
-cache.
+yields the results in ascending D; only this process reads or writes the
+cache.  A scan row is one CSV line from its job to stdout, and a cache entry
+is the scan's CSV text followed by one seal line.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import os
 import sys
 import tempfile
-from typing import Optional
+from typing import Iterable, Optional
 
 from .qfield import (
     BadIndex,
@@ -65,7 +64,19 @@ def cache_dir() -> str:
 
 
 def _cache_path(key: str) -> str:
-    return os.path.join(cache_dir(), f"v{SCHEMA_VERSION}", key + ".json")
+    return os.path.join(cache_dir(), f"v{SCHEMA_VERSION}", key + ".csv")
+
+
+def _sha256(data: bytes = b""):
+    """A SHA-256 hash of data, from CPython's own module where it has one."""
+    try:  # _sha2 from 3.12: hashlib loads OpenSSL, ~3.5 MB RSS
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
 
 
 _fingerprint: Optional[str] = None
@@ -74,19 +85,12 @@ _fingerprint: Optional[str] = None
 def code_fingerprint() -> str:
     """SHA-256 of this package's .py sources, read once per process.
 
-    Each cache entry stores it, so an entry computed by other code is a miss.
+    Each cache entry's seal holds it, so an entry computed by other code is a miss.
     """
     global _fingerprint
     if _fingerprint is None:
-        try:  # CPython's own SHA-256 (_sha2 from 3.12): hashlib loads OpenSSL, ~3.5 MB RSS
-            from _sha256 import sha256
-        except ImportError:
-            try:
-                from _sha2 import sha256
-            except ImportError:
-                from hashlib import sha256
         pkg = os.path.dirname(os.path.abspath(__file__))
-        h = sha256()
+        h = _sha256()
         for name in sorted(n for n in os.listdir(pkg) if n.endswith(".py")):
             with open(os.path.join(pkg, name), "rb") as fh:
                 source = fh.read()
@@ -96,40 +100,50 @@ def code_fingerprint() -> str:
     return _fingerprint
 
 
-def cache_get(key: str, no_cache: bool) -> Optional[dict]:
-    if no_cache:
-        return None
-    path = _cache_path(key)
+def _seal(key: str, digest: str) -> bytes:
+    """The last line of a cache entry: the code and key it was computed for
+    and the SHA-256 of the text above it."""
+    return (json.dumps({"code": code_fingerprint(), "key": key, "sha256": digest,
+                        "version": SCHEMA_VERSION}, sort_keys=True) + "\n").encode()
+
+
+def cache_get(key: str) -> Optional[str]:
+    """The text of the entry for key, or None unless its last line is the seal
+    of this key and text: stale, foreign, cut and edited entries are misses."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            entry = json.load(fh)
-    except (OSError, ValueError):
+        with open(_cache_path(key), "rb") as fh:
+            entry = fh.read()
+    except OSError:
         return None
-    if (not isinstance(entry, dict) or entry.get("version") != SCHEMA_VERSION
-            or entry.get("code") != code_fingerprint() or entry.get("key") != key):
+    cut = entry.rfind(b"\n", 0, len(entry) - 1) + 1  # where the last line starts
+    if entry[cut:] != _seal(key, _sha256(memoryview(entry)[:cut]).hexdigest()):
         return None
-    payload = entry.get("payload")  # a scan payload: {"rows": [...]}
-    return payload if isinstance(payload, dict) and isinstance(payload.get("rows"), list) else None
+    return entry[:cut].decode()
 
 
-def cache_put(key: str, payload: dict, no_cache: bool) -> None:
-    if no_cache:
-        return
+def cache_put(key: str, lines: Iterable[str]) -> bool:
+    """Write lines and then their seal as the entry for key; False if the
+    entry could not be written.  A failed write leaves the old entry."""
     path = _cache_path(key)
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=key + ".",
                                    suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"version": SCHEMA_VERSION, "code": code_fingerprint(),
-                           "key": key, "payload": payload}, fh, sort_keys=True)
+            h = _sha256()
+            with os.fdopen(fd, "wb") as fh:
+                for line in lines:
+                    data = line.encode()
+                    fh.write(data)
+                    h.update(data)
+                fh.write(_seal(key, h.hexdigest()))
             os.replace(tmp, path)  # readers see the old entry or the whole new one
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     except OSError:
-        pass  # caching is best-effort; results never depend on it
+        return False  # caching is best-effort; results never depend on it
+    return True
 
 
 def _dump(payload: dict) -> str:
@@ -233,19 +247,14 @@ def _cmd_verify(args) -> int:
     return 0 if rep.ok else CHECK_FAILED
 
 
-def _scan_row(d: int, m: int, fast6: bool) -> dict:
+def _scan_row(d: int, m: int, fast6: bool) -> str:
+    """The scan's CSV line for field d: D,m,in_range,witness_a,witness_b,pk."""
     if fast6:
         ok, w = exists_six_partitions(d), None
     else:
         ok, w = value_attained(d, m)
-    return {
-        "D": d,
-        "m": m,
-        "in_range": ok,
-        "witness_a": str(w.a) if w is not None else "",
-        "witness_b": str(w.b) if w is not None else "",
-        "pk": str(m) if ok and not fast6 else "",
-    }
+    a, b = (w.a, w.b) if w is not None else ("", "")
+    return f"{d},{m},{ok},{a},{b},{m if ok and not fast6 else ''}\n"
 
 
 def _cmd_scan(args) -> int:
@@ -256,19 +265,17 @@ def _cmd_scan(args) -> int:
     if args.fast6 and args.m != 6:
         raise BadIndex("--fast6 only applies to --m 6")
     key = f"scan_m{args.m}_x{args.xmax}" + ("_fast6" if args.fast6 else "")
-    payload = cache_get(key, args.no_cache)
-    if payload is None:
-        job = functools.partial(_scan_row, m=args.m, fast6=args.fast6)
-        payload = {"rows": map_fields(job, squarefree_range(args.xmax))}
-        cache_put(key, payload, args.no_cache)
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["D", "m", "in_range", "witness_a", "witness_b", "pk"],
-        quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writeheader()
-    for row in payload["rows"]:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
+    job = functools.partial(_scan_row, m=args.m, fast6=args.fast6)
+
+    def lines():
+        yield "D,m,in_range,witness_a,witness_b,pk\n"
+        yield from map_fields(job, squarefree_range(args.xmax))
+
+    text = None if args.no_cache else cache_get(key)
+    if text is None and not args.no_cache and cache_put(key, lines()):
+        text = cache_get(key)  # the rows went into the entry: print it once it is whole
+    # uncached, or the entry could not be written: a new pass streams each row
+    sys.stdout.writelines(lines() if text is None else [text])
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .qfield import (
     InternalError,
@@ -82,14 +83,9 @@ class IndecSeq:
     # -- order windows -----------------------------------------------------
 
     def max_j_real_leq(self, x: QuadInt) -> int:
-        """Largest j with real(beta_j) <= real(x); x must have positive embedding.
-
-        Gallops away from j = 0 with doubling steps, then bisects the last
-        step, so it reads O(log|j|) indecomposables.
-        """
+        """Largest j with real(beta_j) <= real(x); x must have positive embedding."""
         if self.ctx.sign_embedding(x.a, x.b) <= 0:
             raise InternalError("index walk needs a positive real embedding")
-
         t, delta = self.ctx.tr_omega, self.ctx.delta
         xu, xv = x.embedding_pair()
 
@@ -97,31 +93,7 @@ class IndecSeq:
             b = self.beta(j)
             return sign_surd(2 * b.a + t * b.b - xu, b.b - xv, delta) <= 0
 
-        # invariant once galloping stops: fits(lo) and not fits(hi)
-        step = 1
-        if fits(0):
-            lo = 0
-            while fits(lo + step):
-                lo += step
-                step *= 2
-                if lo > _WALK_CAP:
-                    raise InternalError("runaway index walk (increasing side)")
-            hi = lo + step
-        else:
-            hi = 0
-            while not fits(hi - step):
-                hi -= step
-                step *= 2
-                if hi < -_WALK_CAP:
-                    raise InternalError("runaway index walk (decreasing side)")
-            lo = hi - step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fits(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return _last_j(fits)
 
     def indec_window_leq(self, x1: QuadInt, x2: QuadInt) -> list[tuple[int, int]]:
         """Coordinates of every beta_j with real embedding <= real(x1) and
@@ -136,33 +108,19 @@ class IndecSeq:
     def canonical_decomp(self, alpha: QuadInt) -> Decomp:
         """The unique (j, e, f) with alpha = e*beta_j + f*beta_{j+1}, e>=1, f>=0.
 
-        Any representation forces beta_j <= alpha in both embeddings, so j is
-        confined to a finite window; for each candidate j the coefficients are
-        the solution of an integer 2x2 system (beta_j, beta_{j+1} are
-        Q-linearly independent).  Exactly one candidate may solve with e >= 1
-        and f >= 0.
+        Adjacent indecomposables have coordinate determinant
+        det(beta_j, beta_{j+1}) = 1, so f = det(beta_j, alpha) and
+        e = -det(beta_{j+1}, alpha).  det(beta_j, alpha) >= 0 iff
+        beta_j/beta_j' <= alpha/alpha', and beta_j/beta_j' increases with j,
+        so j is the last index where it is >= 0.
         """
         if not alpha.is_totally_positive():
             raise NotTotallyPositive(f"{alpha} is not totally positive")
-        hi = self.max_j_real_leq(alpha)
-        lo = -self.max_j_real_leq(alpha.conjugate())
-        hits = []
-        for j in range(lo - 1, hi + 2):  # one index of slack on each side
-            g = self.beta(j)
-            h = self.beta(j + 1)
-            det = g.a * h.b - g.b * h.a
-            if det == 0:
-                raise InternalError("adjacent indecomposables are dependent")
-            en = alpha.a * h.b - alpha.b * h.a
-            fn = g.a * alpha.b - g.b * alpha.a
-            if en % det == 0 and fn % det == 0:
-                e, f = en // det, fn // det
-                if e >= 1 and f >= 0:
-                    hits.append(Decomp(j, e, f))
-        if len(hits) != 1:
-            raise InternalError(
-                f"expected exactly one decomposition of {alpha}, found {hits}")
-        return hits[0]
+        j = _last_j(lambda j: self.beta(j).a * alpha.b >= self.beta(j).b * alpha.a)
+        g, h = self.beta(j), self.beta(j + 1)
+        if g.a * h.b - g.b * h.a != 1:
+            raise InternalError(f"beta_{j}, beta_{j + 1} are not a basis")
+        return Decomp(j, alpha.a * h.b - alpha.b * h.a, g.a * alpha.b - g.b * alpha.a)
 
     def is_indecomposable(self, alpha: QuadInt) -> bool:
         d = self.canonical_decomp(alpha)
@@ -189,6 +147,39 @@ class IndecSeq:
             else:
                 return alpha
         raise InternalError("balancing did not converge")
+
+
+def _last_j(pred: Callable[[int], bool]) -> int:
+    """Largest j with pred(j), for pred true up to some j and false after it.
+
+    Gallops away from j = 0 with doubling steps, then bisects the last step,
+    so it calls pred O(log|j|) times.
+    """
+    # invariant once galloping stops: pred(lo) and not pred(hi)
+    step = 1
+    if pred(0):
+        lo = 0
+        while pred(lo + step):
+            lo += step
+            step *= 2
+            if lo > _WALK_CAP:
+                raise InternalError("runaway index walk (increasing side)")
+        hi = lo + step
+    else:
+        hi = 0
+        while not pred(hi - step):
+            hi -= step
+            step *= 2
+            if hi < -_WALK_CAP:
+                raise InternalError("runaway index walk (decreasing side)")
+        lo = hi - step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @lru_cache(maxsize=_LIVE_FIELDS)

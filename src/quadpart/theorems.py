@@ -14,7 +14,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .qfield import (
     BadIndex,
@@ -48,8 +48,8 @@ SCHEMA_VERSION = 1  # of every JSON document the package prints
 FIELDS_PER_WORKER = 100
 
 
-def map_fields(fn: Callable[[int], object], ds: list[int]) -> list:
-    """[fn(d) for d in ds], in the order of ds, shared among forked workers.
+def map_fields(fn: Callable[[int], object], ds: list[int]) -> Iterator:
+    """Yields fn(d) for d in ds, in the order of ds, shared among forked workers.
 
     Each field is decided independently, so when at least two CPUs are
     available and every worker gets FIELDS_PER_WORKER fields, the fields go
@@ -59,7 +59,7 @@ def map_fields(fn: Callable[[int], object], ds: list[int]) -> list:
     forked, so they start with this process's modules and per-field cache
     instead of importing the package again, and they must touch no shared
     file.  fn must be a module-level function (or a partial of one) and its
-    results picklable.
+    results picklable.  Closing the generator early shuts the pool down.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -67,7 +67,8 @@ def map_fields(fn: Callable[[int], object], ds: list[int]) -> list:
         cpus = 1
     workers = min(cpus, len(ds) // FIELDS_PER_WORKER)
     if workers < 2 or threading.active_count() > 1:  # a fork copies no other thread
-        return [fn(d) for d in ds]
+        yield from map(fn, ds)
+        return
     # Imported here: loading them would cost every other command ~25 ms and 2.6 MB.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -75,7 +76,7 @@ def map_fields(fn: Callable[[int], object], ds: list[int]) -> list:
 
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
-        return list(pool.map(fn, ds, chunksize=max(1, round(len(ds) / (4 * workers)))))
+        yield from pool.map(fn, ds, chunksize=max(1, round(len(ds) / (4 * workers))))
     except BrokenProcessPool as exc:
         raise InternalError(f"a worker process died: {exc}") from exc
     finally:

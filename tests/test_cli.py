@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -77,10 +78,26 @@ def test_cf_command_round_trip(capsys, cache_dir):
     assert got == "bf66620446dc00db3ddbe286cd34d7972d2da2c43517cfd248c691d0cbafe52c"
 
 
+KEY = "scan_m3_x13"
+HEADER = "D,m,in_range,witness_a,witness_b,pk\n"
+
+
+def entry_path(key=KEY):
+    return pathlib.Path(cli._cache_path(key))
+
+
+def sealed(text, key=KEY, **fields):
+    """text and its seal line: a whole entry, with seal fields overridden."""
+    seal = {"code": cli.code_fingerprint(), "key": key,
+            "sha256": hashlib.sha256(text.encode()).hexdigest(), "version": 1, **fields}
+    return text + json.dumps(seal, sort_keys=True) + "\n"
+
+
 def test_cache_hits_are_byte_identical(capsys, cache_dir):
     assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     first = out_of(capsys)
-    assert (cache_dir / "v1" / "scan_m3_x13.json").exists()
+    assert entry_path().exists()
+    assert entry_path().read_text() == sealed(first)  # the output, then its seal
     assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     second = out_of(capsys)
     assert run(["--no-cache", "scan", "--m", "3", "--xmax", "13"]) == 0
@@ -91,8 +108,8 @@ def test_cache_hits_are_byte_identical(capsys, cache_dir):
 def test_stale_cache_entries_are_ignored(capsys, cache_dir):
     assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     good = out_of(capsys)
-    path = cache_dir / "v1" / "scan_m3_x13.json"
-    path.write_text(json.dumps({"version": 0, "payload": {"rows": []}}))
+    path = entry_path()
+    path.write_text(sealed(HEADER, version=0))
     assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     assert out_of(capsys) == good  # wrong version forces recomputation
     path.write_text("not json at all")
@@ -103,11 +120,12 @@ def test_stale_cache_entries_are_ignored(capsys, cache_dir):
 def test_cache_entries_that_are_not_objects_are_ignored(capsys, cache_dir):
     assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     good = out_of(capsys)
-    path = cache_dir / "v1" / "scan_m3_x13.json"
+    path = entry_path()
     for text in ("[]", "null", "13", '"scan"'):  # valid JSON, but no entry
-        path.write_text(text)
-        assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
-        assert out_of(capsys) == good, text
+        for entry in (text, HEADER + text + "\n"):  # alone, or as the seal line
+            path.write_text(entry)
+            assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
+            assert out_of(capsys) == good, entry
 
 
 def test_cache_entries_for_other_keys_or_malformed_are_recomputed(capsys, cache_dir):
@@ -118,24 +136,49 @@ def test_cache_entries_for_other_keys_or_malformed_are_recomputed(capsys, cache_
     assert want[3] != want[4]
     assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     out_of(capsys)
-    path = cache_dir / "v1" / "scan_m3_x13.json"
-    (cache_dir / "v1" / "scan_m4_x13.json").write_text(path.read_text())
+    path = entry_path()
+    whole = path.read_text()
+    entry_path("scan_m4_x13").write_text(whole)
     assert run(["scan", "--m", "4", "--xmax", "13"]) == 0
     assert out_of(capsys) == want[4]  # an entry stored under another key
-    entry = json.loads(path.read_text())
-    for payload in ({"rows": 5}, {"rows": {}}, [], None):
-        entry["payload"] = payload
-        path.write_text(json.dumps(entry))
+
+    def recomputed(entry):
+        path.write_text(entry)
         assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
-        assert out_of(capsys) == want[3], payload
+        assert out_of(capsys) == want[3], entry
+        assert path.read_text() == whole  # and the entry is written again
+
+    # JSON entries of older versions; rows of ints crashed the CSV writer
+    for payload in ({"rows": [5]}, {"rows": 5}, {"rows": {}}, [], None):
+        recomputed(json.dumps({"version": 1, "code": cli.code_fingerprint(), "key": KEY,
+                               "payload": payload}))
+    lines = whole.splitlines(keepends=True)
+    assert whole.count("False") == 1 and len(lines) > 3
+    recomputed(whole.replace("False", "True"))  # one CSV cell edited
+    recomputed(whole[:len(lines[0]) + len(lines[1]) // 2])  # cut mid-line
+    recomputed("".join(lines[:-1]))  # the seal line dropped
 
 
-def _fresh_interpreter(code):
+def _fresh_interpreter(code, *argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, timeout=60, check=True).stdout
+
+
+def test_scan_memory_stays_flat_in_x():
+    # A child's ru_maxrss keeps its parent's pre-exec high-water mark, so each
+    # scan runs under a small launcher instead of under pytest.
+    launcher = ("import resource, subprocess, sys\n"
+                "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    mb = {}
+    for x in (10_000, 100_000):
+        scan = [sys.executable, "-m", "quadpart.cli", "--no-cache", "scan", "--m", "6",
+                "--fast6", "--xmax", str(x)]
+        mb[x] = int(_fresh_interpreter(launcher, *scan)) / 1024  # ru_maxrss is in kB
+    assert mb[100_000] - mb[10_000] < 10, mb
 
 
 def test_fingerprint_does_not_import_hashlib():
@@ -161,42 +204,58 @@ def test_commands_do_not_import_the_pool():
 def test_entries_from_other_code_are_recomputed(capsys, cache_dir):
     assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     good = out_of(capsys)
-    path = cache_dir / "v1" / "scan_m3_x13.json"
-    entry = json.loads(path.read_text())
-    assert entry["code"] == cli.code_fingerprint()
-    entry["code"] = "0" * 64  # as if written by an older version of the package
-    entry["payload"]["rows"] = []
-    path.write_text(json.dumps(entry))
+    path = entry_path()
+    seal = json.loads(path.read_text().splitlines()[-1])
+    assert seal["code"] == cli.code_fingerprint()
+    # as if written by an older version of the package, with its rows dropped
+    path.write_text(sealed(HEADER, code="0" * 64))
     assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     assert out_of(capsys) == good
-    assert json.loads(path.read_text())["code"] == cli.code_fingerprint()
+    assert json.loads(path.read_text().splitlines()[-1])["code"] == cli.code_fingerprint()
 
 
 def test_no_cache_writes_nothing(capsys, cache_dir):
     assert run(["--no-cache", "scan", "--m", "3", "--xmax", "13"]) == 0
     out_of(capsys)
-    assert not (cache_dir / "v1" / "scan_m3_x13.json").exists()
+    assert not entry_path().exists()
+    assert not cache_dir.exists()
 
 
 def test_cache_write_failing_mid_dump_leaves_nothing(capsys, cache_dir, monkeypatch):
-    def dump_half(obj, fh, **kwargs):
-        fh.write('{"key": "scan_m3_x13", "payl')
-        raise OSError(28, "No space left on device")
+    fdopen = os.fdopen
+
+    class HalfFull:
+        """The entry's file: it takes half of the first write, then the disk is full."""
+
+        def __init__(self, fd, *args, **kwargs):
+            self.fh = fdopen(fd, *args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
 
     with monkeypatch.context() as mp:
-        mp.setattr(cli.json, "dump", dump_half)
+        mp.setattr(cli.os, "fdopen", HalfFull)
         assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     fresh = out_of(capsys)
     assert list((cache_dir / "v1").iterdir()) == []
+    assert run(["--no-cache", "scan", "--m", "3", "--xmax", "13"]) == 0
+    assert out_of(capsys) == fresh
     assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
     assert out_of(capsys) == fresh
-    entry = cache_dir / "v1" / "scan_m3_x13.json"
+    entry = entry_path()
     good = entry.read_text()
     with monkeypatch.context() as mp:
-        mp.setattr(cli.json, "dump", dump_half)
-        cli.cache_put("scan_m3_x13", {"rows": []}, no_cache=False)
+        mp.setattr(cli.os, "fdopen", HalfFull)
+        assert cli.cache_put(KEY, iter([HEADER])) is False
     assert entry.read_text() == good  # the old entry survives a failed rewrite
-    assert [p.name for p in (cache_dir / "v1").iterdir()] == ["scan_m3_x13.json"]
+    assert [p.name for p in (cache_dir / "v1").iterdir()] == [entry.name]
 
 
 def test_indec_command(capsys, cache_dir):
@@ -296,7 +355,7 @@ def test_usage_errors(capsys, cache_dir):
     assert out_of(capsys) == ""
     assert run(["cf", "2", "--rows", "-1"]) == 0
     assert [r["i"] for r in json.loads(out_of(capsys))["rows"]] == [-1]
-    assert not (cache_dir / "v1" / "scan_m0_x1.json").exists()
-    assert not (cache_dir / "v1" / "scan_m3_x-5.json").exists()
+    assert not entry_path("scan_m0_x1").exists()
+    assert not entry_path("scan_m3_x-5").exists()
     assert run(["scan", "--m", "3", "--xmax", "10", "--fast6"]) == 2
     assert run(["--help"]) == 0

@@ -43,9 +43,9 @@ def _pid_of(x):
 
 def test_fan_out_starts_at_two_workers_worth_of_fields():
     few = list(range(2 * FIELDS_PER_WORKER - 1))
-    assert map_fields(_pid_of, few) == [(x, os.getpid()) for x in few]
+    assert list(map_fields(_pid_of, few)) == [(x, os.getpid()) for x in few]
     many = list(range(2 * FIELDS_PER_WORKER))
-    got = map_fields(_pid_of, many)
+    got = list(map_fields(_pid_of, many))
     assert [x for x, _ in got] == many  # results come back in input order
     pids = {pid for _, pid in got}
     assert (os.getpid() not in pids) if CPUS >= 2 else (pids == {os.getpid()})
@@ -58,7 +58,7 @@ def test_no_fork_while_other_threads_run():
     waiter.start()
     try:
         many = list(range(2 * FIELDS_PER_WORKER))
-        assert map_fields(_pid_of, many) == [(x, os.getpid()) for x in many]
+        assert list(map_fields(_pid_of, many)) == [(x, os.getpid()) for x in many]
     finally:
         release.set()
         waiter.join(60)
@@ -95,11 +95,13 @@ def test_worker_error_fails_the_scan_and_caches_nothing(capsys, tmp_path, monkey
     err = capsys.readouterr().err.strip()
     assert err.startswith("InternalError: no decision for D=401 in process ")
     assert (int(err.split()[-1]) != parent) == (CPUS >= 2)
-    assert not list(tmp_path.rglob("*.json"))
+    assert not os.path.exists(cli._cache_path("scan_m11_x600"))
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]  # no temp file either
 
 
 @needs_two_cpus
-def test_dead_worker_fails_instead_of_hanging(tmp_path):
+def test_dead_worker_fails_instead_of_hanging(tmp_path, monkeypatch):
+    monkeypatch.setenv("QUADPART_CACHE_DIR", str(tmp_path / "cache"))  # as _env sets it
     code = ("import os, sys\n"
             "from quadpart import cli\n"
             "cli.value_attained = lambda d, m: os._exit(3) if d == 401 else (False, None)\n"
@@ -108,4 +110,5 @@ def test_dead_worker_fails_instead_of_hanging(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 1
     assert done.stderr.startswith("InternalError: a worker process died")
-    assert not list(tmp_path.rglob("*.json"))
+    assert not os.path.exists(cli._cache_path("scan_m11_x600"))
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]  # no temp file either

@@ -69,12 +69,16 @@ def test_canonical_decomp_examples():
 
 def test_canonical_decomp_round_trip():
     rng = random.Random(41)
-    for d in (2, 3, 5, 13, 29):
+    # (D, j within +-periods*s', samples, largest coefficient); D = 1399721 has
+    # s' = 10,933 and coordinates of thousands of bits, so it stays within a period
+    cases = [(d, 2, 60, 50) for d in (2, 3, 5, 13, 29)]
+    cases += [(94, 3, 40, 10**6), (9001, 3, 40, 10**6), (1399721, 1, 10, 10**6)]
+    for d, periods, samples, coeff in cases:
         seq = indec_seq(d)
-        for _ in range(60):
-            j = rng.randint(-2 * seq.s_prime, 2 * seq.s_prime)
-            e = rng.randint(1, 50)
-            f = rng.randint(0, 50)
+        for _ in range(samples):
+            j = rng.randint(-periods * seq.s_prime, periods * seq.s_prime)
+            e = rng.randint(1, coeff)
+            f = rng.randint(0, coeff)
             alpha = e * seq.beta(j) + f * seq.beta(j + 1)
             assert seq.canonical_decomp(alpha) == Decomp(j, e, f)
 
