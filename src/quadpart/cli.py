@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -123,8 +124,19 @@ def cache_get(key: str) -> Optional[str]:
 
 def cache_put(key: str, lines: Iterable[str]) -> bool:
     """Write lines and then their seal as the entry for key; False if the
-    entry could not be written.  A failed write leaves the old entry."""
+    entry could not be written.  A failed write leaves the old entry, and
+    every line is still read; an OSError raised by the lines passes through."""
     path = _cache_path(key)
+    raised = []  # an OSError of the lines themselves, not of the entry
+
+    def read():
+        try:
+            yield from lines
+        except OSError as exc:
+            raised.append(exc)
+            raise
+
+    rows = read()
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=key + ".",
@@ -132,7 +144,7 @@ def cache_put(key: str, lines: Iterable[str]) -> bool:
         try:
             h = _sha256()
             with os.fdopen(fd, "wb") as fh:
-                for line in lines:
+                for line in rows:
                     data = line.encode()
                     fh.write(data)
                     h.update(data)
@@ -142,19 +154,24 @@ def cache_put(key: str, lines: Iterable[str]) -> bool:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     except OSError:
+        if raised:
+            raise
+        for _ in rows:  # the caller reads the lines for itself too
+            pass
         return False  # caching is best-effort; results never depend on it
     return True
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """A JSON document of this package: the payload and its schema version."""
+    return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True)
 
 
 # -- subcommand bodies -------------------------------------------------------------
 
 
 def _cmd_field(args) -> int:
-    print(_dump({"schema": SCHEMA_VERSION, **dataclasses.asdict(make_field(args.D))}))
+    print(_dump(dataclasses.asdict(make_field(args.D))))
     return 0
 
 
@@ -162,7 +179,7 @@ def _cmd_cf(args) -> int:
     if args.rows is not None and args.rows < -1:
         raise BadIndex(f"rows must be >= -1, got {args.rows}")
     seq = indec_seq(args.D)
-    out = {"schema": SCHEMA_VERSION, **seq.cf.to_json(),
+    out = {**seq.cf.to_json(),
            "epsilon": seq.table.eps.to_json(),
            "epsilon_plus": seq.table.eps_plus.to_json()}
     if args.rows is not None:
@@ -190,8 +207,7 @@ def _cmd_indec(args) -> int:
             "v": seq.v(j),
             "norm": str(b.norm()),
         })
-    print(_dump({"schema": SCHEMA_VERSION, "D": args.D, "s_prime": seq.s_prime,
-                 "rows": rows}))
+    print(_dump({"D": args.D, "s_prime": seq.s_prime, "rows": rows}))
     return 0
 
 
@@ -199,8 +215,7 @@ def _cmd_decomp(args) -> int:
     seq = indec_seq(args.D)
     alpha = QuadInt(args.a, args.b, seq.ctx)
     d = seq.canonical_decomp(alpha)
-    print(_dump({"schema": SCHEMA_VERSION, "D": args.D, "alpha": alpha.to_json(),
-                 "j": d.j, "e": d.e, "f": d.f}))
+    print(_dump({"D": args.D, "alpha": alpha.to_json(), "j": d.j, "e": d.e, "f": d.f}))
     return 0
 
 
@@ -212,7 +227,6 @@ def _cmd_pk(args) -> int:
     full = pk(alpha, cap=args.cap)
     restricted = pk_indec(alpha, cap=args.cap)
     out = {
-        "schema": SCHEMA_VERSION,
         "D": args.D,
         "alpha": alpha.to_json(),
         "pk": {"value": full.value, "exact": full.exact},
@@ -235,8 +249,7 @@ def _cmd_gen(args) -> int:
     else:
         items = gen_two_indec_partitions(seq, i_max)
         kind = "pki2"
-    print(_dump({"schema": SCHEMA_VERSION, "D": args.D, "kind": kind,
-                 "i_max": i_max, "count": len(items),
+    print(_dump({"D": args.D, "kind": kind, "i_max": i_max, "count": len(items),
                  "elements": [x.to_json() for x in items]}))
     return 0
 
@@ -267,22 +280,27 @@ def _cmd_scan(args) -> int:
     key = f"scan_m{args.m}_x{args.xmax}" + ("_fast6" if args.fast6 else "")
     job = functools.partial(_scan_row, m=args.m, fast6=args.fast6)
 
-    def lines():
-        yield "D,m,in_range,witness_a,witness_b,pk\n"
-        yield from map_fields(job, squarefree_range(args.xmax))
+    def printed():
+        """Each line, written to sys.stdout as it is handed on."""
+        for line in itertools.chain(["D,m,in_range,witness_a,witness_b,pk\n"],
+                                    map_fields(job, squarefree_range(args.xmax))):
+            sys.stdout.write(line)
+            yield line
 
     text = None if args.no_cache else cache_get(key)
-    if text is None and not args.no_cache and cache_put(key, lines()):
-        text = cache_get(key)  # the rows went into the entry: print it once it is whole
-    # uncached, or the entry could not be written: a new pass streams each row
-    sys.stdout.writelines(lines() if text is None else [text])
+    if text is not None:
+        sys.stdout.write(text)
+    elif args.no_cache:
+        for _ in printed():
+            pass
+    else:
+        cache_put(key, printed())  # the entry is renamed into place once whole
     return 0
 
 
 def _cmd_witness(args) -> int:
     b, ws = partition_range_witnesses(args.D)
     print(_dump({
-        "schema": SCHEMA_VERSION,
         "D": args.D,
         "B": b,
         "range_max": b // 2 + 2,

@@ -16,7 +16,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .qfield import (
     BadIndex,
@@ -27,7 +27,7 @@ from .qfield import (
     floor_surd,
     sign_surd,
 )
-from .indec import IndecSeq, indec_seq
+from .indec import Decomp, IndecSeq, indec_seq
 
 # -- count results -------------------------------------------------------------
 
@@ -360,12 +360,9 @@ def is_uniquely_decomposable(seq: IndecSeq, alpha: QuadInt) -> bool:
             and (d.e, d.f) != (vj - 1, vj1 - 1))
 
 
-def has_two_indec_partitions(seq: IndecSeq, alpha: QuadInt) -> bool:
-    """True iff alpha has exactly two partitions into indecomposable parts."""
-    d = seq.canonical_decomp(alpha)
-    e, f = d.e, d.f
-    vm1, vj, vj1, vp2 = (seq.v(d.j - 1), seq.v(d.j), seq.v(d.j + 1),
-                         seq.v(d.j + 2))
+def _two_rule(e: int, f: int, vm1: int, vj: int, vj1: int, vp2: int) -> bool:
+    """Whether e*beta_j + f*beta_{j+1} has exactly two partitions into
+    indecomposable parts, given v_{j-1}, v_j, v_{j+1} and v_{j+2}."""
     cond1 = (vj <= e <= 2 * vj - 1 and 0 <= f <= vj1 - 2
              and (e, f) != (2 * vj - 1, vj1 - 2)
              and (vm1, e) != (2, 2 * vj - 1)
@@ -379,12 +376,26 @@ def has_two_indec_partitions(seq: IndecSeq, alpha: QuadInt) -> bool:
     return cond1 or cond2 or cond3
 
 
-def closed_count_small(seq: IndecSeq, alpha: QuadInt) -> CountResult:
-    """Full partition count for the seven small canonical shapes; otherwise
-    a saturated lower bound of 7."""
+def _v_window(seq: IndecSeq, j: int) -> tuple[int, int, int, int]:
+    """(v_{j-1}, v_j, v_{j+1}, v_{j+2}), the coefficients _two_rule reads."""
+    return seq.v(j - 1), seq.v(j), seq.v(j + 1), seq.v(j + 2)
+
+
+def has_two_indec_partitions(seq: IndecSeq, alpha: QuadInt) -> bool:
+    """True iff alpha has exactly two partitions into indecomposable parts."""
     d = seq.canonical_decomp(alpha)
+    return _two_rule(d.e, d.f, *_v_window(seq, d.j))
+
+
+# the canonical shapes (e, f) whose full partition count has a closed form
+_SMALL_SHAPES = frozenset({(1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (1, 2)})
+
+
+def _small_count(seq: IndecSeq, d: Decomp) -> CountResult:
+    """Full partition count of e*beta_j + f*beta_{j+1} for the small shapes;
+    otherwise a saturated lower bound of 7."""
     e, f, j = d.e, d.f, d.j
-    if (e, f) not in {(1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (1, 2)}:
+    if (e, f) not in _SMALL_SHAPES:
         return CountResult.at_least(7)
     if (e, f) == (1, 0):
         return CountResult.exactly(1)
@@ -436,14 +447,17 @@ def closed_count_small(seq: IndecSeq, alpha: QuadInt) -> CountResult:
     return CountResult.at_least(8)  # vj = vj1 = 2
 
 
+def closed_count_small(seq: IndecSeq, alpha: QuadInt) -> CountResult:
+    """Full partition count for the seven small canonical shapes; otherwise
+    a saturated lower bound of 7."""
+    return _small_count(seq, seq.canonical_decomp(alpha))
+
+
 # -- generators -------------------------------------------------------------------
-
-
-def _emit(seq: IndecSeq, sink: dict, i: int, r: int, e: int, f: int) -> None:
-    alpha = e * seq.table.semiconvergent(i, r) + f * seq.table.semiconvergent(i, r + 1)
-    sink[(alpha.a, alpha.b)] = alpha
-    conj = alpha.conjugate()
-    sink[(conj.a, conj.b)] = conj
+#
+# Each generator walks the j >= 0 whose beta_j is alpha_{i,r} with i <= i_max,
+# keeps the e*beta_j + f*beta_{j+1} its characterization accepts, and adds
+# their conjugates, which cover the negative side.
 
 
 def default_i_max(seq: IndecSeq) -> int:
@@ -451,110 +465,65 @@ def default_i_max(seq: IndecSeq) -> int:
     return seq.cf.unit_steps - 3
 
 
-def gen_two_indec_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:
-    """Every element with exactly two indecomposable-part partitions whose
-    defining semiconvergent index is at most i_max, plus conjugates."""
+def _indices_up_to(seq: IndecSeq, i_max: int) -> Iterator[int]:
+    """Every j >= 0 with beta_j = alpha_{i,r} for some i <= i_max."""
     if i_max < -1 or i_max % 2 == 0:
         raise BadIndex(f"i_max must be odd and >= -1, got {i_max}")
-    u = seq.cf.u
-    found: dict[tuple[int, int], QuadInt] = {}
-    for i in range(-1, i_max + 1, 2):
-        u1, u2, u3, u4 = u(i + 1), u(i + 2), u(i + 3), u(i + 4)
-        u_abs = u(1) if i == -1 else u(i)
-        # shape e*alpha_{i,0} + f*alpha_{i,1}, e past the unique range
-        if u2 >= 2:
-            for e in range(u1 + 2, 2 * u1 + 2):
-                _emit(seq, found, i, 0, e, 0)
-            if u_abs == 1:
-                _emit(seq, found, i, 0, 2 * u1 + 2, 0)
-        else:  # u2 == 1
-            top = 2 * u1 + 2 if u_abs == 1 else 2 * u1 + 1
-            for e in range(u1 + 2, top + 1):
-                for f in range(0, u3 + 1):
-                    _emit(seq, found, i, 0, e, f)
-            e_edge = 2 * u1 + 3 if u_abs == 1 else 2 * u1 + 2
-            for f in range(0, u3):
-                _emit(seq, found, i, 0, e_edge, f)
-        # shape with r = 1
-        if u2 >= 3:
-            _emit(seq, found, i, 1, 2, 0)
-        elif u2 == 2:
-            for f in range(0, u3 + 1):
-                _emit(seq, found, i, 1, 2, f)
-            for f in range(0, u3):
-                _emit(seq, found, i, 1, 3, f)
-        # shape with r = u2 - 1 (degenerate cases covered above)
-        if u2 >= 3:
-            for f in range(0, u3):
-                _emit(seq, found, i, u2 - 1, 2, f)
-        # shapes with f past the unique range
-        if u2 >= 3:
-            for e in range(1, u1):
-                _emit(seq, found, i, 0, e, 2)
-        elif u2 == 2:
-            for e in range(1, u1):
-                _emit(seq, found, i, 0, e, 2)
-                _emit(seq, found, i, 0, e, 3)
-            _emit(seq, found, i, 0, u1, 2)
-        else:  # u2 == 1
-            if u4 >= 2:
-                for e in range(1, u1):
-                    for f in range(u3 + 2, 2 * u3 + 3):
-                        _emit(seq, found, i, 0, e, f)
-                for f in range(u3 + 2, 2 * u3 + 2):
-                    _emit(seq, found, i, 0, u1, f)
-            else:  # u4 == 1
-                for e in range(1, u1):
-                    for f in range(u3 + 2, 2 * u3 + 4):
-                        _emit(seq, found, i, 0, e, f)
-                for f in range(u3 + 2, 2 * u3 + 3):
-                    _emit(seq, found, i, 0, u1, f)
-        # boundary shape e = v_j - 1, f = v_{j+1} - 1
-        if u2 >= 2:
-            _emit(seq, found, i, 0, u1 + 1, 1)
-        else:
-            _emit(seq, found, i, 0, u1 + 1, u3 + 1)
-        if u2 >= 3:
-            _emit(seq, found, i, 1, 1, 1)
-        elif u2 == 2:
-            _emit(seq, found, i, 1, 1, u3 + 1)
-        if u2 >= 4:
-            _emit(seq, found, i, u2 - 2, 1, 1)
-        if u2 >= 3:
-            _emit(seq, found, i, u2 - 1, 1, u3 + 1)
+    j = 0
+    while seq.pair(j)[0] <= i_max:
+        yield j
+        j += 1
+
+
+def _add_with_conjugates(found: dict, seq: IndecSeq, j: int,
+                         shapes: list[tuple[int, int]]) -> None:
+    """Add the coordinates of e*beta_j + f*beta_{j+1} and of its conjugate to
+    found, for each (e, f) in shapes.  found is a dict used as an ordered set:
+    it keeps the elements nearly in real order, so sorting them is cheap."""
+    if not shapes:
+        return  # most j keep no six-partition shape: build no beta for them
+    g, h, t = seq.beta(j), seq.beta(j + 1), seq.ctx.tr_omega
+    for e, f in shapes:
+        a, b = e * g.a + f * h.a, e * g.b + f * h.b
+        found[a, b] = found[a + t * b, -b] = None
+
+
+def gen_two_indec_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:
+    """Every element with exactly two indecomposable-part partitions whose
+    defining semiconvergent index is at most i_max, plus conjugates.
+
+    _two_rule accepts only the three regions tried here: e in [v_j, 2v_j)
+    with f < v_{j+1} - 1, e in [1, v_j - 1) with f in [v_{j+1}, 2v_{j+1}),
+    and the point (v_j - 1, v_{j+1} - 1).
+    """
+    found: dict[tuple[int, int], None] = {}
+    for j in _indices_up_to(seq, i_max):
+        vs = _v_window(seq, j)
+        vj, vj1 = vs[1], vs[2]
+        shapes = itertools.chain(
+            itertools.product(range(vj, 2 * vj), range(vj1 - 1)),
+            itertools.product(range(1, vj - 1), range(vj1, 2 * vj1)),
+            [(vj - 1, vj1 - 1)])
+        _add_with_conjugates(found, seq, j,
+                             [(e, f) for e, f in shapes if _two_rule(e, f, *vs)])
     return _sorted_quadints(seq.ctx, found)
 
 
 def gen_six_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:
     """Every element with exactly six partitions whose defining semiconvergent
-    index is at most i_max, plus conjugates."""
-    if i_max < -1 or i_max % 2 == 0:
-        raise BadIndex(f"i_max must be odd and >= -1, got {i_max}")
-    u = seq.cf.u
-    found: dict[tuple[int, int], QuadInt] = {}
-    for i in range(-1, i_max + 1, 2):
-        u1, u2, u3 = u(i + 1), u(i + 2), u(i + 3)
-        if u2 >= 8:
-            _emit(seq, found, i, 4, 2, 0)
-        if u2 >= 9:
-            _emit(seq, found, i, u2 - 4, 2, 0)
-            _emit(seq, found, i, 4, 1, 1)
-        if u2 >= 10:
-            _emit(seq, found, i, u2 - 5, 1, 1)
-        if u2 == 2:
-            _emit(seq, found, i, 1, 3, 0)
-        if u1 == 2:
-            _emit(seq, found, i, 0, 4, 0)
-        if (u2 >= 2 and u3 >= 2) or (u2 == 2 and u3 == 1):
-            _emit(seq, found, i, u2 - 1, 2, 1)
-        if (u1 >= 2 and u2 >= 2) or (u1 == 1 and u2 == 2):
-            _emit(seq, found, i, 0, 1, 2)
+    index is at most i_max, plus conjugates: the small shapes whose closed
+    count is 6 (every other shape has at least 7 partitions)."""
+    six = CountResult.exactly(6)
+    found: dict[tuple[int, int], None] = {}
+    for j in _indices_up_to(seq, i_max):
+        _add_with_conjugates(found, seq, j, [
+            (e, f) for e, f in _SMALL_SHAPES if _small_count(seq, Decomp(j, e, f)) == six])
     return _sorted_quadints(seq.ctx, found)
 
 
-def _sorted_quadints(ctx: FieldCtx, found: dict) -> list[QuadInt]:
-    coords = _desc_real(ctx, found.keys())
-    return [found[c] for c in reversed(coords)]
+def _sorted_quadints(ctx: FieldCtx, found: Iterable[tuple[int, int]]) -> list[QuadInt]:
+    """The elements with the given coordinates, ascending by real embedding."""
+    return [QuadInt(a, b, ctx) for a, b in reversed(_desc_real(ctx, found))]
 
 
 # -- existence of six partitions and the explicit 6-or-9 element -----------------

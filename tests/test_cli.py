@@ -258,6 +258,56 @@ def test_cache_write_failing_mid_dump_leaves_nothing(capsys, cache_dir, monkeypa
     assert [p.name for p in (cache_dir / "v1").iterdir()] == [entry.name]
 
 
+def test_cache_write_failing_midway_decides_each_field_once(capsys, cache_dir, monkeypatch):
+    assert run(["--no-cache", "scan", "--m", "3", "--xmax", "13"]) == 0
+    fresh = out_of(capsys)
+    fdopen = os.fdopen
+
+    class FullAtSixthWrite:
+        """The entry's file: the disk is full at its sixth write (the row of D = 7)."""
+
+        def __init__(self, fd, *args, **kwargs):
+            self.fh = fdopen(fd, *args, **kwargs)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 6:
+                raise OSError(28, "No space left on device")
+            self.fh.write(data)
+
+    decided = []
+    value_attained = cli.value_attained
+
+    def counted(d, m):
+        decided.append(d)
+        return value_attained(d, m)
+
+    monkeypatch.setattr(cli, "value_attained", counted)
+    monkeypatch.setattr(cli.os, "fdopen", FullAtSixthWrite)
+    assert run(["scan", "--m", "3", "--xmax", "13"]) == 0
+    assert out_of(capsys) == fresh
+    assert decided == [2, 3, 5, 6, 7, 10, 11, 13]  # each field once, in order
+    assert list((cache_dir / "v1").iterdir()) == []  # no entry and no temp file
+
+
+def test_errors_of_the_rows_pass_through_the_cache(capsys, cache_dir, monkeypatch):
+    def broken_pool(job, ds):
+        yield from map(job, ds[:2])
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "map_fields", broken_pool)
+    with pytest.raises(OSError):
+        run(["scan", "--m", "3", "--xmax", "13"])
+    assert list((cache_dir / "v1").iterdir()) == []
+
+
 def test_indec_command(capsys, cache_dir):
     assert run(["indec", "2", "--window", "2"]) == 0
     doc = json.loads(out_of(capsys))

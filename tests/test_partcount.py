@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from quadpart.partcount import (
     PartitionCounter,
     closed_count_double_pair,
     closed_count_small,
+    default_i_max,
     exists_six_partitions,
     flat_run_radius,
     gen_six_partitions,
@@ -323,6 +325,19 @@ def test_gen_six_examples():
     assert pk(q(4, 0, 2)) == exact(6)
     assert pk(q(6, 3, 2)) == exact(6)
     assert gen_six_partitions(indec_seq(5), 5) == []
+
+
+def test_generator_outputs_are_pinned():
+    # both generators' exact lists, in order: a change to how they enumerate
+    # must not move this digest
+    h = hashlib.sha256()
+    for d in squarefree_range(200):
+        seq = indec_seq(d)
+        top = default_i_max(seq)
+        for i_max in (-1, 1, 3, top, top + 2):
+            for gen in (gen_two_indec_partitions, gen_six_partitions):
+                h.update(repr([(x.a, x.b) for x in gen(seq, i_max)]).encode())
+    assert h.hexdigest() == "b5f0cf6639625e98703895c8c102c9a746cf3a1d133d0b477c34409dc9cba15a"
 
 
 def test_closed_count_small_dispatch():
