@@ -122,10 +122,6 @@ class IndecSeq:
             raise InternalError(f"beta_{j}, beta_{j + 1} are not a basis")
         return Decomp(j, alpha.a * h.b - alpha.b * h.a, g.a * alpha.b - g.b * alpha.a)
 
-    def is_indecomposable(self, alpha: QuadInt) -> bool:
-        d = self.canonical_decomp(alpha)
-        return d.e == 1 and d.f == 0
-
     # -- unit action ---------------------------------------------------------
 
     def balanced(self, alpha: QuadInt) -> QuadInt:

@@ -408,6 +408,8 @@ def _small_count(seq: IndecSeq, d: Decomp) -> CountResult:
         i, r = seq.pair(jj)
         return CountResult.exactly(
             closed_count_double_pair(seq, i, r, "pair", restricted=False))
+    if (e, f) == (1, 2):  # the conjugate of (2, 1) at -j-1
+        return _small_count(seq, Decomp(-j - 1, 2, 1))
     vj, vj1 = seq.v(j), seq.v(j + 1)
     if (e, f) == (3, 0):
         if vj >= 4:
@@ -435,16 +437,6 @@ def _small_count(seq: IndecSeq, d: Decomp) -> CountResult:
         if vj == 2 and vj1 == 3:
             return CountResult.exactly(6 if seq.v(j - 1) > 2 else 7)
         return CountResult.at_least(8)  # vj = vj1 = 2
-    # (e, f) == (1, 2): mirror image of (2, 1) under conjugation
-    if vj1 >= 3 and (vj, vj1) != (2, 3):
-        return CountResult.exactly(4)
-    if (vj, vj1) == (2, 3):
-        return CountResult.exactly(5)
-    if vj >= 4 and vj1 == 2:
-        return CountResult.exactly(6)
-    if vj == 3 and vj1 == 2:
-        return CountResult.exactly(6 if seq.v(j + 2) > 2 else 7)
-    return CountResult.at_least(8)  # vj = vj1 = 2
 
 
 def closed_count_small(seq: IndecSeq, alpha: QuadInt) -> CountResult:

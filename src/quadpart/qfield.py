@@ -210,20 +210,8 @@ class QuadInt:
         u = 2 * (self.a - other.a) + self.ctx.tr_omega * (self.b - other.b)
         return sign_surd(u, self.b - other.b, self.ctx.delta)
 
-    def succeq(self, other: "QuadInt") -> bool:
-        """self >= other in the totally-positive partial order."""
-        d = self - other
-        return d.is_zero() or d.is_totally_positive()
-
-    def succ(self, other: "QuadInt") -> bool:
-        return (self - other).is_totally_positive()
-
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "D": self.ctx.D}
-
-    @staticmethod
-    def from_json(obj: dict) -> "QuadInt":
-        return QuadInt(int(obj["a"]), int(obj["b"]), make_field(obj["D"]))
 
     def __repr__(self) -> str:
         return f"QuadInt({self.a}, {self.b}, D={self.ctx.D})"

@@ -96,14 +96,6 @@ def squarefree_range(x: int) -> list[int]:
     return [d for d in range(2, x + 1) if flags[d]]
 
 
-def first_n_squarefree(n: int) -> list[int]:
-    """The n smallest squarefree D >= 2."""
-    x = 2 * n + 2
-    while len(ds := squarefree_range(x)) < n:
-        x *= 2
-    return ds[:n]
-
-
 def norm_bound(ctx: FieldCtx, kind: str, m: Optional[int] = None) -> SurdExpr:
     """Norm bound value as an exact surd expression x + y*sqrt(delta).
 

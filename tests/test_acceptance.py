@@ -9,7 +9,6 @@ import random
 import time
 
 from quadpart.qfield import QuadInt, make_field, sign_surd
-from quadpart.cfrac import verify_tail_norm_identity
 from quadpart.indec import indec_seq
 from quadpart.partcount import (
     CountResult,
@@ -27,7 +26,6 @@ from quadpart.partcount import (
 )
 from quadpart.theorems import (
     density_report,
-    first_n_squarefree,
     scan_missing_six_fast,
     scan_missing_value,
     squarefree_range,
@@ -35,6 +33,8 @@ from quadpart.theorems import (
     verify_norm_bound,
     _shared_indec_counter,
 )
+
+from oracles import verify_tail_norm_identity
 
 EF_DSET = [2, 3, 5, 6, 7, 10, 11, 13, 14, 17, 19, 21, 22, 23, 29]
 BOX_DSET = [2, 3, 6, 7, 10, 13]
@@ -188,7 +188,7 @@ def test_criterion_06_generator_completeness_in_boxes():
 def test_criterion_07_norm_bounds():
     t0 = time.time()
     checked = 0
-    for d in first_n_squarefree(50):
+    for d in squarefree_range(2 * 50 + 2)[:50]:
         for kind, m in (("ds", None), ("hk10", None), ("n", 1), ("n", 2),
                         ("n", 3), ("n2", None)):
             rep = verify_norm_bound(d, kind, m)
@@ -201,7 +201,7 @@ def test_criterion_07_norm_bounds():
 
 def test_criterion_08_structural_identities():
     t0 = time.time()
-    for d in first_n_squarefree(100):
+    for d in squarefree_range(2 * 100 + 2)[:100]:
         ctx = make_field(d)
         seq = indec_seq(d)
         cf, tab = seq.cf, seq.table

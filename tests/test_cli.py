@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from quadpart.qfield import QuadInt, make_field
-from quadpart import cli
+from quadpart.qfield import QuadInt, SurdExpr, make_field
+from quadpart import cli, theorems
 from quadpart.cli import run
 
 
@@ -70,7 +70,8 @@ def test_cf_command_round_trip(capsys, cache_dir):
         assert run(["cf", str(d), "--rows", "3"]) == 0
         doc = json.loads(out_of(capsys))
         assert doc == want, d
-        assert QuadInt.from_json(doc["epsilon"]).norm() == (-1) ** doc["s"]
+        o = doc["epsilon"]
+        assert QuadInt(int(o["a"]), int(o["b"]), make_field(o["D"])).norm() == (-1) ** doc["s"]
     # eps and eps_plus of D = 1399721 have hundreds of digits, and each row's
     # N comes from the CF tails; the digest pins the whole document.
     assert run(["cf", "1399721", "--rows", "3"]) == 0
@@ -313,7 +314,8 @@ def test_indec_command(capsys, cache_dir):
     doc = json.loads(out_of(capsys))
     rows = {r["j"]: r for r in doc["rows"]}
     assert rows[0]["v"] == 4 and rows[1]["v"] == 2
-    assert QuadInt.from_json(rows[-1]["alpha"]) == QuadInt(2, -1, make_field(2))
+    o = rows[-1]["alpha"]
+    assert QuadInt(int(o["a"]), int(o["b"]), make_field(o["D"])) == QuadInt(2, -1, make_field(2))
     assert rows[2]["norm"] == "1"
 
 
@@ -346,12 +348,18 @@ def test_gen_command(capsys, cache_dir):
         assert json.loads(out_of(capsys))["i_max"] == i_max, d
 
 
-def test_verify_command(capsys, cache_dir):
+def test_verify_command(capsys, cache_dir, monkeypatch):
     assert run(["verify", "2", "--bound", "n2"]) == 0
     doc = json.loads(out_of(capsys))
     assert doc["ok"] is True and doc["violations"] == []
     assert run(["verify", "2", "--bound", "n", "--m", "2"]) == 0
     out_of(capsys)
+    # a bound of 5 fails on the five hk10 candidates of norm >= 5
+    monkeypatch.setattr(theorems, "norm_bound",
+                        lambda ctx, kind, m=None: SurdExpr(5, 0, ctx.delta))
+    assert run(["verify", "2", "--bound", "hk10"]) == 1
+    doc = json.loads(out_of(capsys))
+    assert doc["ok"] is False and len(doc["violations"]) == 5
 
 
 def test_scan_command_csv(capsys, cache_dir):

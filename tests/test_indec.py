@@ -5,6 +5,8 @@ import pytest
 from quadpart.qfield import InternalError, NotTotallyPositive, QuadInt, make_field
 from quadpart.indec import Decomp, indec_seq
 
+from oracles import succeq
+
 
 def q(a, b, d):
     return QuadInt(a, b, make_field(d))
@@ -118,16 +120,16 @@ def test_indec_window_leq_matches_succeq_filter():
             got = seq.indec_window_leq(alpha, alpha.conjugate())
             w = 3 * seq.s_prime + 4
             brute = [(b.a, b.b) for b in map(seq.beta, range(w, -w - 1, -1))
-                     if alpha.succeq(b)]
+                     if succeq(alpha, b)]
             assert got == brute
 
 
 def test_is_indecomposable():
     seq = indec_seq(2)
-    assert seq.is_indecomposable(q(2, 1, 2))
+    assert seq.canonical_decomp(q(2, 1, 2)) == Decomp(1, 1, 0)
     assert q(2, 1, 2).norm() == make_field(2).c_d
-    assert not seq.is_indecomposable(q(4, 2, 2))
-    assert seq.is_indecomposable(q(1, 0, 2))
+    assert seq.canonical_decomp(q(4, 2, 2)) == Decomp(1, 2, 0)
+    assert seq.canonical_decomp(q(1, 0, 2)) == Decomp(0, 1, 0)
 
 
 def test_indecomposable_norm_bound_and_attainment():

@@ -5,7 +5,7 @@ import pytest
 from sympy import partition
 
 from quadpart import cfrac, indec, partcount, theorems
-from quadpart.qfield import BadIndex, QuadInt, make_field, sign_surd, _is_squarefree
+from quadpart.qfield import BadIndex, QuadInt, SurdExpr, make_field, sign_surd, _is_squarefree
 from quadpart.indec import indec_seq
 from quadpart.partcount import (
     CountResult,
@@ -23,7 +23,6 @@ from quadpart.theorems import (
     FIELDS_PER_WORKER,
     BoundReport,
     density_report,
-    first_n_squarefree,
     low_count_candidates,
     norm_bound,
     partition_range_witnesses,
@@ -40,8 +39,6 @@ from quadpart.theorems import (
 def test_squarefree_range():
     assert squarefree_range(12) == [2, 3, 5, 6, 7, 10, 11]
     assert squarefree_range(1) == []
-    assert first_n_squarefree(5) == [2, 3, 5, 6, 7]
-    assert len(first_n_squarefree(50)) == 50
 
 
 def test_squarefree_tests_agree():
@@ -95,10 +92,11 @@ def test_verify_bound_headroom_is_recorded():
 
 def _full_box_report(d, kind, m=None):
     # Oracle: every candidate of the box, counted by a fresh capped counter,
-    # with no early exit.
+    # with no early exit.  It reads the bound through the module, as
+    # verify_norm_bound does, so a patched bound reaches both.
     seq = indec_seq(d)
     mm = {"hk10": 1, "n": m, "n2": 2}[kind]
-    bound = norm_bound(seq.ctx, kind, m)
+    bound = theorems.norm_bound(seq.ctx, kind, m)
     counter = _shared_indec_counter(seq, mm, cap=mm)
     checked = []
     for _, _, _, alpha in low_count_candidates(seq, mm):
@@ -118,6 +116,21 @@ def test_staircase_verify_matches_full_box_oracle():
         for kind, m in (("hk10", None), ("n2", None), ("n", 1), ("n", 2), ("n", 3), ("n", 4)):
             want = _full_box_report(d, kind, m).to_json()
             assert verify_norm_bound(d, kind, m).to_json() == want, (d, kind, m)
+
+
+def test_verify_reports_violations_like_full_box_oracle(monkeypatch):
+    # No true bound is ever violated, so the report's violation list is
+    # empty on every field.  A bound of 5 makes every candidate of norm >= 5
+    # a violation; the staircase must report the oracle's list, in order.
+    monkeypatch.setattr(theorems, "norm_bound",
+                        lambda ctx, kind, m=None: SurdExpr(5, 0, ctx.delta))
+    for d in (2, 3, 5, 19, 94):
+        for kind, m in (("hk10", None), ("n", 2), ("n2", None)):
+            want = _full_box_report(d, kind, m)
+            rep = verify_norm_bound(d, kind, m)
+            assert want.violations and not rep.ok, (d, kind, m)
+            assert rep.violations == want.violations, (d, kind, m)
+            assert rep.candidates_checked == want.candidates_checked, (d, kind, m)
 
 
 def test_norm_bound_verification_has_no_cliff(monkeypatch):
