@@ -19,6 +19,7 @@ from .qfield import (
     InternalError,
     BadIndex,
     QuadInt,
+    sign_surd,
     xi,
 )
 
@@ -122,8 +123,9 @@ class ConvergentTable:
         alpha = self._alpha[i + 1]
         if alpha.norm() != (-1) ** (i + 1) * self.absnorm(i):
             raise InternalError(f"norm of alpha_{i} is off for D={self.ctx.D}")
-        emb = self.ctx.sign_embedding(alpha.a, alpha.b)
-        conj = self.ctx.sign_embedding(alpha.a, alpha.b, conj=True)
+        u, v = alpha.embedding_pair()
+        emb = sign_surd(u, v, self.ctx.delta)
+        conj = sign_surd(u, -v, self.ctx.delta)
         if emb <= 0:
             raise InternalError(f"alpha_{i} has nonpositive real embedding")
         if (conj > 0) != (i % 2 == 1):

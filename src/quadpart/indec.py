@@ -84,24 +84,24 @@ class IndecSeq:
 
     def max_j_real_leq(self, x: QuadInt) -> int:
         """Largest j with real(beta_j) <= real(x); x must have positive embedding."""
-        if self.ctx.sign_embedding(x.a, x.b) <= 0:
-            raise InternalError("index walk needs a positive real embedding")
-        t, delta = self.ctx.tr_omega, self.ctx.delta
+        delta = self.ctx.delta
         xu, xv = x.embedding_pair()
+        if sign_surd(xu, xv, delta) <= 0:
+            raise InternalError("index walk needs a positive real embedding")
 
         def fits(j: int) -> bool:
-            b = self.beta(j)
-            return sign_surd(2 * b.a + t * b.b - xu, b.b - xv, delta) <= 0
+            bu, bv = self.beta(j).embedding_pair()
+            return sign_surd(bu - xu, bv - xv, delta) <= 0
 
         return _last_j(fits)
 
     def indec_window_leq(self, x1: QuadInt, x2: QuadInt) -> list[tuple[int, int]]:
-        """Coordinates of every beta_j with real embedding <= real(x1) and
+        """Embedding pairs of every beta_j with real embedding <= real(x1) and
         conjugate embedding <= real(x2), descending by real value.  With
         x2 = conjugate(alpha) these are the indecomposables <= alpha."""
         hi = self.max_j_real_leq(x1)
         lo = -self.max_j_real_leq(x2)
-        return [(b.a, b.b) for b in map(self.beta, range(hi, lo - 1, -1))]
+        return [self.beta(j).embedding_pair() for j in range(hi, lo - 1, -1)]
 
     # -- core operations ----------------------------------------------------
 

@@ -1,13 +1,16 @@
 """Partition counting over totally positive integers of a real quadratic field.
 
-parts_leq enumerates the support of an element over the indecomposable fan:
-every totally positive gamma is uniquely e*beta_j + f*beta_{j+1} (e >= 1,
-f >= 0), so the support is walked point by point rather than scanned row by
-row.  lattice_leq, an exact scan of the embedding box that knows nothing of
-the indecomposables, stays as the test oracle for that walk.  pk / pk_indec
-count multisets by memoized recursive descent over the support in descending
-real-embedding order.  Closed-form counts, characterizations, and generators
-live alongside and are cross-checked against the oracles by the test suite.
+The counting core holds each element as its embedding pair (u, v), with
+embeddings (u +- v*sqrt(delta))/2, so conjugation is v -> -v; elements leave
+it as QuadInt through QuadInt.from_embedding.  parts_leq enumerates the
+support of an element over the indecomposable fan: every totally positive
+gamma is uniquely e*beta_j + f*beta_{j+1} (e >= 1, f >= 0), so the support is
+walked point by point rather than scanned row by row.  lattice_leq, an exact
+scan of the embedding box that knows nothing of the indecomposables, stays as
+the test oracle for that walk.  pk / pk_indec count multisets by memoized
+recursive descent over the support in descending real-embedding order.
+Closed-form counts, characterizations, and generators live alongside and are
+cross-checked against the oracles by the test suite.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ class CountResult:
 
 
 def lattice_leq(ctx: FieldCtx, b1: tuple[int, int], b2: tuple[int, int]) -> list[tuple[int, int]]:
-    """All coordinate pairs (x, y) of totally positive elements whose first
-    embedding is <= (b1[0] + b1[1]*sqrt(delta))/2 and second embedding is
+    """Embedding pairs of all totally positive x + y*w whose first embedding
+    is <= (b1[0] + b1[1]*sqrt(delta))/2 and second embedding is
     <= (b2[0] + b2[1]*sqrt(delta))/2.  Exact; no particular output order.
     """
     t, delta = ctx.tr_omega, ctx.delta
@@ -76,31 +79,31 @@ def lattice_leq(ctx: FieldCtx, b1: tuple[int, int], b2: tuple[int, int]) -> list
             floor_surd(u1 - ty, v1 - y, 2, delta),
             floor_surd(u2 - ty, v2 + y, 2, delta),
         )
-        out.extend((x, y) for x in range(lo, hi + 1))
+        out.extend((2 * x + ty, y) for x in range(lo, hi + 1))
     return out
 
 
-def _desc_real(ctx: FieldCtx, coords: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Sort coordinate pairs descending by exact real-embedding value.
+def _desc_real(ctx: FieldCtx, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sort embedding pairs descending by exact real-embedding value.
 
-    The key of a + b*w is q*(2a + t*b) + b*p with p = floor(q*sqrt(delta)): it
-    is 2q times the real embedding, less b times the rounding error of p.
-    Two distinct elements differ by some d != 0 with |real(d)| >= 1/|conj(d)|
-    (N(d) is a nonzero integer), and q > m^2*(3 + root), where m bounds every
-    coordinate, makes 2q*|real(d)| exceed the rounding error, so the key order
-    is the exact order and equal keys mean equal elements.
+    The key of (u, v) is u*q + v*p with p = floor(q*sqrt(delta)): 2q times the
+    real embedding, less v times the rounding error of p.  Two distinct
+    elements differ by some d != 0 with |real(d)| >= 1/|conj(d)| (N(d) is a
+    nonzero integer).  With |u|, |v| <= m, |conj(d)| <= m*(1 + sqrt(delta)),
+    so q >= m^2*(1 + root) makes 2q*|real(d)| >= 2m exceed the rounding terms
+    (< 2m apart): the key order is exact and equal keys mean equal elements.
     """
-    coords = list(coords)
-    t, delta = ctx.tr_omega, ctx.delta
-    m = max(map(abs, itertools.chain.from_iterable(coords)), default=0)
-    root = math.isqrt(delta) + 1  # |conj(g)| < m*(3 + root)/2 for every g listed
-    q = 1 << (m * m * (3 + root)).bit_length()
-    ka, kb = 2 * q, t * q + floor_surd(0, q, 1, delta)
-    return sorted(coords, key=lambda c: c[0] * ka + c[1] * kb, reverse=True)
+    pairs = list(pairs)
+    delta = ctx.delta
+    m = max(map(abs, itertools.chain.from_iterable(pairs)), default=0)
+    root = math.isqrt(delta) + 1  # > sqrt(delta)
+    q = 1 << (m * m * (1 + root)).bit_length()
+    p = math.isqrt(q * q * delta)
+    return sorted(pairs, key=lambda c: c[0] * q + c[1] * p, reverse=True)
 
 
 def _support_tuples(alpha: QuadInt) -> list[tuple[int, int]]:
-    """Coordinates of every totally positive gamma <= alpha, descending by real value.
+    """Embedding pairs of every totally positive gamma <= alpha, descending by real value.
 
     gamma = e*beta_j + f*beta_{j+1} has beta_j <= gamma <= alpha, so j lies in
     the run of j with beta_j <= alpha that indec_window_leq reads; adding a totally
@@ -109,36 +112,33 @@ def _support_tuples(alpha: QuadInt) -> list[tuple[int, int]]:
     window width, whatever the shape of alpha.
     """
     seq = indec_seq(alpha.ctx.D)
-    t, delta = seq.ctx.tr_omega, seq.ctx.delta
+    delta = seq.ctx.delta
     au, av = alpha.embedding_pair()
     out = []
     j = seq.max_j_real_leq(alpha)
-    h = seq.beta(j + 1)
+    hu, hv = seq.beta(j + 1).embedding_pair()
     while True:
-        g = seq.beta(j)
-        ga, gb, ha, hb = g.a, g.b, h.a, h.b
-        gu, hu = 2 * ga + t * gb, 2 * ha + t * hb
-        # (ea, eb) = e*beta_j; (ru, av - eb) is the embedding pair of
-        # alpha - e*beta_j, which is zero or totally positive iff
-        # ru - |av - eb|*sqrt(delta) >= 0
-        ea, eb, ru = ga, gb, au - gu
+        gu, gv = seq.beta(j).embedding_pair()
+        # alpha - gamma is zero or totally positive iff au - u >= |av - v|*sqrt(delta),
+        # for gamma = (u, v); (eu, ev) is e*beta_j
+        eu, ev = gu, gv
         emitted = len(out)
-        while sign_surd(ru, -abs(av - eb), delta) >= 0:
-            fa, fb, su = ea, eb, ru
-            while sign_surd(su, -abs(av - fb), delta) >= 0:
-                out.append((fa, fb))
-                fa, fb, su = fa + ha, fb + hb, su - hu
-            ea, eb, ru = ea + ga, eb + gb, ru - gu
+        while sign_surd(au - eu, -abs(av - ev), delta) >= 0:
+            u, v = eu, ev
+            while sign_surd(au - u, -abs(av - v), delta) >= 0:
+                out.append((u, v))
+                u, v = u + hu, v + hv
+            eu, ev = eu + gu, ev + gv
         if len(out) == emitted:
             return _desc_real(seq.ctx, out)  # beta_j is not <= alpha: j left the window
-        j, h = j - 1, g
+        j, hu, hv = j - 1, gu, gv
 
 
 def parts_leq(alpha: QuadInt) -> list[QuadInt]:
     """All totally positive gamma <= alpha, sorted descending by real embedding."""
     if not alpha.is_totally_positive():
         raise NotTotallyPositive(f"{alpha} is not totally positive")
-    return [QuadInt(a, b, alpha.ctx) for a, b in _support_tuples(alpha)]
+    return [QuadInt.from_embedding(u, v, alpha.ctx) for u, v in _support_tuples(alpha)]
 
 
 # -- the counting core -----------------------------------------------------------
@@ -147,13 +147,13 @@ def parts_leq(alpha: QuadInt) -> list[QuadInt]:
 class PartitionCounter:
     """Counts multisets of a fixed descending part list summing to a target.
 
-    Parts must be totally positive and sorted descending by real embedding.
-    After _first_fit, a state counts partitions of the remainder r into the
-    parts gamma <= r up to the cutoff part in real order, whatever the list,
-    as long as it holds supp(r), as supp(alpha) for every alpha >= r does.
-    So the memo is keyed on (r, cutoff part), None past the end, and full
-    supports of one field and cap may share it.  With a cap, every stored and
-    returned value saturates at cap+1.
+    Parts are embedding pairs of totally positive elements, sorted descending
+    by real embedding.  After _first_fit, a state counts partitions of the
+    remainder r into the parts gamma <= r up to the cutoff part in real order,
+    whatever the list, as long as it holds supp(r), as supp(alpha) for every
+    alpha >= r does.  So the memo is keyed on (r, cutoff part), None past the
+    end, and full supports of one field and cap may share one memo dict.
+    With a cap, every stored and returned value saturates at cap+1.
 
     The part list is a chain when its conjugate embeddings strictly ascend,
     as they do for a run of consecutive indecomposables.  On a chain the
@@ -162,18 +162,16 @@ class PartitionCounter:
     the conjugate is too large, and every later part's conjugate is larger.
     """
 
-    def __init__(self, ctx: FieldCtx, parts: list[tuple[int, int]], cap: Optional[int]):
+    def __init__(self, ctx: FieldCtx, parts: list[tuple[int, int]], cap: Optional[int],
+                 memo: Optional[dict] = None):
         self.ctx = ctx
         self.parts = parts
         self.cap = cap
-        t, delta = ctx.tr_omega, ctx.delta
-        self._us = us = [2 * a + t * b for a, b in parts]
-        self._vs = vs = [b for _, b in parts]
         # conj(p_{k+1}) - conj(p_k) = (du - dv*sqrt(delta))/2; stop at the first descent
-        self.chain = all(sign_surd(us[k + 1] - us[k], vs[k] - vs[k + 1], delta) > 0
-                         for k in range(len(parts) - 1))
+        self.chain = all(sign_surd(u1 - u0, v0 - v1, ctx.delta) > 0
+                         for (u0, v0), (u1, v1) in zip(parts, parts[1:]))
         self._cutoffs = parts + [None]
-        self._memo: dict = {}
+        self._memo = {} if memo is None else memo
         self._ff: dict = {}
 
     def _first_fit(self, ua: int, va: int) -> int:
@@ -182,11 +180,12 @@ class PartitionCounter:
         hit = self._ff.get(key)
         if hit is not None:
             return hit
-        us, vs, delta = self._us, self._vs, self.ctx.delta
-        lo, hi = 0, len(self.parts)
+        parts, delta = self.parts, self.ctx.delta
+        lo, hi = 0, len(parts)
         while lo < hi:
             mid = (lo + hi) // 2
-            if sign_surd(us[mid] - ua, vs[mid] - va, delta) <= 0:
+            pu, pv = parts[mid]
+            if sign_surd(pu - ua, pv - va, delta) <= 0:
                 hi = mid
             else:
                 lo = mid + 1
@@ -203,33 +202,31 @@ class PartitionCounter:
         need = min(alpha.trace() + 100, 1_000_000)
         if sys.getrecursionlimit() < need:
             sys.setrecursionlimit(need)
-        return self._ways(alpha.a, alpha.b, 0)
+        return self._ways(*alpha.embedding_pair(), 0)
 
-    def _ways(self, ra: int, rb: int, i: int) -> int:
-        t, delta = self.ctx.tr_omega, self.ctx.delta
-        ur = 2 * ra + t * rb
-        i0 = self._first_fit(ur, rb)
+    def _ways(self, ru: int, rv: int, i: int) -> int:
+        i0 = self._first_fit(ru, rv)
         if i0 > i:
             i = i0
-        key = (ra, rb, self._cutoffs[i])
+        key = (ru, rv, self._cutoffs[i])
         memo = self._memo
         val = memo.get(key)
         if val is not None:
             return val
-        parts, us, chain = self.parts, self._us, self.chain
+        parts, chain, delta = self.parts, self.chain, self.ctx.delta
         cap = self.cap
         sat = None if cap is None else cap + 1
         total = 0
         for k in range(i, len(parts)):
-            pa, pb = parts[k]
-            da = ra - pa
-            db = rb - pb
-            if da == 0 and db == 0:
+            pu, pv = parts[k]
+            du = ru - pu
+            dv = rv - pv
+            if du == 0 and dv == 0:
                 total += 1
-            # the remainder has embeddings (ur - us[k] +- db*sqrt(delta))/2,
-            # so it is totally positive iff ur - us[k] - |db|*sqrt(delta) > 0
-            elif sign_surd(ur - us[k], -abs(db), delta) > 0:
-                total += self._ways(da, db, k)
+            # the remainder has embeddings (du +- dv*sqrt(delta))/2, so it
+            # is totally positive iff du - |dv|*sqrt(delta) > 0
+            elif sign_surd(du, -abs(dv), delta) > 0:
+                total += self._ways(du, dv, k)
             # k >= _first_fit, so real(p_k) <= real(r) and equality means
             # p_k = r: a miss here has conj(p_k) >= conj(r), and on a chain
             # every later part has a larger conjugate still
@@ -253,10 +250,7 @@ def _count(alpha: QuadInt, support: Callable[[QuadInt], list[tuple[int, int]]],
     elif not alpha.is_totally_positive():
         raise NotTotallyPositive(f"{alpha} is not totally positive")
     else:
-        counter = PartitionCounter(alpha.ctx, support(alpha), cap)
-        if memo is not None:
-            counter._memo = memo
-        count = counter.count(alpha)
+        count = PartitionCounter(alpha.ctx, support(alpha), cap, memo).count(alpha)
     if cap is not None and count > cap:
         return CountResult.at_least(cap + 1)
     return CountResult.exactly(count)
@@ -268,7 +262,7 @@ def pk(alpha: QuadInt, cap: Optional[int] = None) -> CountResult:
 
 
 def indec_support(alpha: QuadInt) -> list[tuple[int, int]]:
-    """Indecomposables <= alpha as coordinate tuples, descending by real value."""
+    """Embedding pairs of the indecomposables <= alpha, descending by real value."""
     return indec_seq(alpha.ctx.D).indec_window_leq(alpha, alpha.conjugate())
 
 
@@ -286,24 +280,23 @@ def list_partitions(alpha: QuadInt, indec_only: bool = False,
         raise NotTotallyPositive(f"{alpha} is not totally positive")
     ctx = alpha.ctx
     parts = indec_support(alpha) if indec_only else _support_tuples(alpha)
-    t, delta = ctx.tr_omega, ctx.delta
     out: list[list[QuadInt]] = []
 
-    def descend(ra: int, rb: int, i: int, acc: list):
+    def descend(ru: int, rv: int, i: int, acc: list):
         if limit is not None and len(out) >= limit:
             return
         for k in range(i, len(parts)):
-            pa, pb = parts[k]
-            da, db = ra - pa, rb - pb
-            if da == 0 and db == 0:
-                out.append([QuadInt(*p, ctx) for p in acc + [(pa, pb)]])
+            pu, pv = parts[k]
+            du, dv = ru - pu, rv - pv
+            if du == 0 and dv == 0:
+                out.append([QuadInt.from_embedding(u, v, ctx) for u, v in acc + [(pu, pv)]])
                 if limit is not None and len(out) >= limit:
                     return
-            elif sign_surd(2 * da + t * db, -abs(db), delta) > 0:
-                descend(da, db, k, acc + [(pa, pb)])
+            elif sign_surd(du, -abs(dv), ctx.delta) > 0:
+                descend(du, dv, k, acc + [(pu, pv)])
         return
 
-    descend(alpha.a, alpha.b, 0, [])
+    descend(*alpha.embedding_pair(), 0, [])
     return out
 
 
@@ -469,15 +462,15 @@ def _indices_up_to(seq: IndecSeq, i_max: int) -> Iterator[int]:
 
 def _add_with_conjugates(found: dict, seq: IndecSeq, j: int,
                          shapes: list[tuple[int, int]]) -> None:
-    """Add the coordinates of e*beta_j + f*beta_{j+1} and of its conjugate to
-    found, for each (e, f) in shapes.  found is a dict used as an ordered set:
-    it keeps the elements nearly in real order, so sorting them is cheap."""
+    """Add the embedding pairs of e*beta_j + f*beta_{j+1} and of its conjugate
+    to found, for each (e, f) in shapes.  found is a dict used as an ordered
+    set: it keeps the elements nearly in real order, so sorting them is cheap."""
     if not shapes:
         return  # most j keep no six-partition shape: build no beta for them
-    g, h, t = seq.beta(j), seq.beta(j + 1), seq.ctx.tr_omega
+    (gu, gv), (hu, hv) = seq.beta(j).embedding_pair(), seq.beta(j + 1).embedding_pair()
     for e, f in shapes:
-        a, b = e * g.a + f * h.a, e * g.b + f * h.b
-        found[a, b] = found[a + t * b, -b] = None
+        u, v = e * gu + f * hu, e * gv + f * hv
+        found[u, v] = found[u, -v] = None
 
 
 def gen_two_indec_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:
@@ -514,8 +507,8 @@ def gen_six_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:
 
 
 def _sorted_quadints(ctx: FieldCtx, found: Iterable[tuple[int, int]]) -> list[QuadInt]:
-    """The elements with the given coordinates, ascending by real embedding."""
-    return [QuadInt(a, b, ctx) for a, b in reversed(_desc_real(ctx, found))]
+    """The elements with the given embedding pairs, ascending by real embedding."""
+    return [QuadInt.from_embedding(u, v, ctx) for u, v in reversed(_desc_real(ctx, found))]
 
 
 # -- existence of six partitions and the explicit 6-or-9 element -----------------

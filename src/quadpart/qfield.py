@@ -2,8 +2,10 @@
 
 Elements are stored as integer coordinate pairs over the basis (1, w),
 where w = sqrt(D) for D = 2,3 (mod 4) and w = (1+sqrt(D))/2 for
-D = 1 (mod 4).  Every comparison and sign decision is made in exact
-integer arithmetic; no floating point enters any decision path.
+D = 1 (mod 4).  The counting core works in embedding pairs (u, v) instead,
+with embeddings (u +- v*sqrt(delta))/2; embedding_pair and from_embedding
+are the only conversions.  Every comparison and sign decision is made in
+exact integer arithmetic; no floating point enters any decision path.
 """
 
 from __future__ import annotations
@@ -98,11 +100,6 @@ class FieldCtx:
     floor_omega: int
     floor_xi: int
     c_d: int
-
-    def sign_embedding(self, a: int, b: int, conj: bool = False) -> int:
-        """Exact sign of the real embedding of a + b*w (or of its conjugate)."""
-        u = 2 * a + self.tr_omega * b
-        return sign_surd(u, -b if conj else b, self.delta)
 
     def __repr__(self) -> str:  # keep hash/eq from dataclass, short repr
         return f"FieldCtx(D={self.D})"
@@ -199,6 +196,11 @@ class QuadInt:
     def embedding_pair(self) -> tuple[int, int]:
         """(u, v) with real embedding (u + v*sqrt(delta))/2; conjugate flips v."""
         return 2 * self.a + self.ctx.tr_omega * self.b, self.b
+
+    @staticmethod
+    def from_embedding(u: int, v: int, ctx: FieldCtx) -> "QuadInt":
+        """The element whose embedding pair is (u, v); inverse of embedding_pair."""
+        return QuadInt((u - ctx.tr_omega * v) // 2, v, ctx)
 
     def is_totally_positive(self) -> bool:
         # Both embeddings positive  <=>  trace > 0 and norm > 0.

@@ -171,8 +171,8 @@ def _staircase(seq: IndecSeq, m: int, count: Callable[[QuadInt], int]):
 
 
 def _shared_indec_counter(seq: IndecSeq, m: int, cap: int) -> "PartitionCounter":
-    """One capped counter over every indecomposable that can appear in a
-    partition of any candidate from low_count_candidates(seq, m).
+    """One capped counter over the embedding pairs of every indecomposable that
+    can appear in a partition of any candidate from low_count_candidates(seq, m).
 
     The counter itself starts each descent at the first part whose real
     embedding fits the remainder and stops at the first part whose conjugate

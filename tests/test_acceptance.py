@@ -161,8 +161,8 @@ def test_criterion_06_generator_completeness_in_boxes():
         box = _desc_real(ctx, lattice_leq(ctx, bound, bound))
 
         counter = PartitionCounter(ctx, box, cap=6)
-        oracle_six = {c for c in box if counter.count(QuadInt(*c, ctx)) == 6}
-        gen_six = {(x.a, x.b) for x in gen_six_partitions(seq, i_max) if in_box(x)}
+        oracle_six = {c for c in box if counter.count(QuadInt.from_embedding(*c, ctx)) == 6}
+        gen_six = {x.embedding_pair() for x in gen_six_partitions(seq, i_max) if in_box(x)}
         assert gen_six == oracle_six, (d, half_bound)
 
         # indecomposables inside the box, walked out from index 0
@@ -175,10 +175,10 @@ def test_criterion_06_generator_completeness_in_boxes():
         while in_box(seq.beta(j)):
             ind_parts.append(seq.beta(j))
             j -= 1
-        ind_coords = _desc_real(ctx, [(b.a, b.b) for b in ind_parts])
+        ind_coords = _desc_real(ctx, [b.embedding_pair() for b in ind_parts])
         icounter = PartitionCounter(ctx, ind_coords, cap=2)
-        oracle_two = {c for c in box if icounter.count(QuadInt(*c, ctx)) == 2}
-        gen_two = {(x.a, x.b)
+        oracle_two = {c for c in box if icounter.count(QuadInt.from_embedding(*c, ctx)) == 2}
+        gen_two = {x.embedding_pair()
                    for x in gen_two_indec_partitions(seq, i_max) if in_box(x)}
         assert gen_two == oracle_two, (d, half_bound)
     report(6, t0, "six-partition and two-indecomposable generators are complete "

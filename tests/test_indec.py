@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quadpart.qfield import InternalError, NotTotallyPositive, QuadInt, make_field
+from quadpart.qfield import InternalError, NotTotallyPositive, QuadInt, make_field, sign_surd
 from quadpart.indec import Decomp, indec_seq
 
 from oracles import succeq
@@ -101,13 +101,13 @@ def test_indec_window_leq_pinned_by_oracle():
     got = below(seq, q(4, 2, 2))
     # beta_{-1} = 2 - sqrt(2) fails the conjugate embedding (2+sqrt(2) > 4-2sqrt(2)),
     # so the list is exactly indices 2..0.
-    assert got == [(3, 2), (2, 1), (1, 0)]
+    assert got == [(6, 2), (4, 1), (2, 0)]
     for d in (2, 5, 7):
-        assert below(indec_seq(d), QuadInt(1, 0, make_field(d))) == [(1, 0)]
+        assert below(indec_seq(d), QuadInt(1, 0, make_field(d))) == [(2, 0)]
     seq5 = indec_seq(5)
     eps_plus = seq5.table.eps_plus
     assert seq5.beta(1) == eps_plus
-    assert below(seq5, eps_plus) == [(eps_plus.a, eps_plus.b)]
+    assert below(seq5, eps_plus) == [eps_plus.embedding_pair()]
 
 
 def test_indec_window_leq_matches_succeq_filter():
@@ -119,7 +119,7 @@ def test_indec_window_leq_matches_succeq_filter():
             alpha = rng.randint(1, 4) * seq.beta(j) + rng.randint(0, 4) * seq.beta(j + 1)
             got = seq.indec_window_leq(alpha, alpha.conjugate())
             w = 3 * seq.s_prime + 4
-            brute = [(b.a, b.b) for b in map(seq.beta, range(w, -w - 1, -1))
+            brute = [b.embedding_pair() for b in map(seq.beta, range(w, -w - 1, -1))
                      if succeq(alpha, b)]
             assert got == brute
 
@@ -167,7 +167,7 @@ def test_max_j_real_leq_matches_linear_scan():
             xs = [b, b + seq.beta(j + 1), b * 3,
                   q(rng.randint(0, 10**6), rng.randint(-10**4, 10**4), d)]
             for x in xs:
-                if x.ctx.sign_embedding(x.a, x.b) <= 0:
+                if sign_surd(*x.embedding_pair(), x.ctx.delta) <= 0:
                     continue
                 assert seq.max_j_real_leq(x) == _linear_max_j(seq, x), (d, j, x)
             assert seq.max_j_real_leq(b) == j

@@ -85,8 +85,8 @@ def test_fan_support_matches_lattice_oracle():
                 want = _desc_real(ctx, lattice_leq(ctx, (u, v), (u, -v)))
                 got = _support_tuples(x)
                 assert got == want, (d, j, e, f)
-                assert all(QuadInt(*p, ctx).cmp_real(QuadInt(*r, ctx)) > 0
-                           for p, r in zip(got, got[1:])), (d, j, e, f)
+                elems = [QuadInt.from_embedding(*p, ctx) for p in got]
+                assert all(p.cmp_real(r) > 0 for p, r in zip(elems, elems[1:])), (d, j, e, f)
                 count = PartitionCounter(ctx, want, cap=8).count(x)
                 want_pk = exact(count) if count <= 8 else CountResult.at_least(9)
                 for k in range(5):
@@ -375,7 +375,7 @@ def test_closed_count_small_exhaustive_boxes():
         box = _desc_real(ctx, lattice_leq(ctx, (0, 12), (0, 12)))
         counter = PartitionCounter(ctx, box, cap=16)
         for coords in box:
-            alpha = QuadInt(*coords, ctx)
+            alpha = QuadInt.from_embedding(*coords, ctx)
             want = closed_count_small(seq, alpha)
             got = counter.count(alpha)
             if want.exact:
@@ -406,7 +406,7 @@ def test_shared_counter_matches_fresh_calls():
     box = _desc_real(ctx, lattice_leq(ctx, (0, 24), (0, 24)))
     counter = PartitionCounter(ctx, box, cap=9)
     for coords in box:
-        alpha = QuadInt(*coords, ctx)
+        alpha = QuadInt.from_embedding(*coords, ctx)
         assert counter.count(alpha) == min(pk(alpha, cap=9).value, 10)
 
 
@@ -419,11 +419,13 @@ def test_desc_real_matches_exact_comparisons(d, raw):
     t, delta = ctx.tr_omega, ctx.delta
     # a = off - floor(b*w) puts every real embedding in [off, off + 1), so
     # distinct elements crowd together, down to gaps of about 1/|conj|
-    coords = [(off - floor_surd(t * b, b, 2, delta), b) for b, off in raw]
-    got = _desc_real(ctx, coords)
-    assert sorted(got) == sorted(coords)
+    pairs = [QuadInt(off - floor_surd(t * b, b, 2, delta), b, ctx).embedding_pair()
+             for b, off in raw]
+    got = _desc_real(ctx, pairs)
+    assert sorted(got) == sorted(pairs)
     for p, r in zip(got, got[1:]):
-        assert p == r or QuadInt(*p, ctx).cmp_real(QuadInt(*r, ctx)) > 0
+        assert p == r or QuadInt.from_embedding(*p, ctx).cmp_real(
+            QuadInt.from_embedding(*r, ctx)) > 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -434,9 +436,9 @@ def test_first_fit_matches_linear_scan(d, n, a, b, pick):
     parts = _desc_real(ctx, lattice_leq(ctx, (0, n), (0, n)))
     counter = PartitionCounter(ctx, parts, cap=None)
     # pick >= 0 queries a part itself, so ties in the real embedding are hit
-    x = QuadInt(*parts[pick % len(parts)], ctx) if pick >= 0 else QuadInt(a, b, ctx)
+    x = QuadInt.from_embedding(*parts[pick % len(parts)], ctx) if pick >= 0 else QuadInt(a, b, ctx)
     want = next((k for k, p in enumerate(parts)
-                 if QuadInt(*p, ctx).cmp_real(x) <= 0), len(parts))
+                 if QuadInt.from_embedding(*p, ctx).cmp_real(x) <= 0), len(parts))
     assert counter._first_fit(*x.embedding_pair()) == want
 
 

@@ -159,6 +159,18 @@ def test_cmp_real_total_order():
                     assert c == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 13, 94, 9001]),
+       st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+def test_from_embedding_inverts_embedding_pair(d, a, b):
+    # D = 5, 13, 9001 use the half basis (tr w = 1), D = 2, 3, 94 the sqrt basis
+    ctx = make_field(d)
+    x = QuadInt(a, b, ctx)
+    u, v = x.embedding_pair()
+    assert QuadInt.from_embedding(u, v, ctx) == x
+    assert x.conjugate().embedding_pair() == (u, -v)
+
+
 def test_ctx_mismatch():
     with pytest.raises(CtxMismatch):
         q(1, 0, 2) + q(1, 0, 3)
