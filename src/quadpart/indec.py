@@ -9,9 +9,10 @@ the three-term relation  v_j * beta_j = beta_{j-1} + beta_{j+1}.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 from .qfield import (
@@ -43,24 +44,24 @@ class IndecSeq:
         self.ctx = table.ctx
         self.cf = table.cf
         self.table = table
-        self._offsets = [0]  # _offsets[k] = first index of the block at i = 2k-1
         self._beta_cache: dict[int, QuadInt] = {}
-        # One multiplication by eps_plus shifts the sequence index by s_prime:
+        # _offsets[k] = first index of the block at i = 2k-1, whose width is
+        # u_{2k+1}.  The widths repeat after unit_steps // 2 blocks, so one
+        # multiplication by eps_plus shifts the sequence index by s_prime:
         # the number of indecomposables carved out of one totally positive
         # unit period.
-        self.s_prime = sum(self.cf.u(2 * k + 1) for k in range(self.cf.unit_steps // 2))
+        self._offsets = list(accumulate(
+            (self.cf.u(2 * k + 1) for k in range(self.cf.unit_steps // 2)), initial=0))
+        self.s_prime = self._offsets[-1]
 
     # -- index bookkeeping -------------------------------------------------
 
     def pair(self, j: int) -> tuple[int, int]:
         """(i, r) with beta_|j| = alpha_{i,r}; valid for any j (uses |j|)."""
-        j = abs(j)
         off = self._offsets
-        while off[-1] <= j:
-            k = len(off) - 1
-            off.append(off[-1] + self.cf.u(2 * k + 1))
-        k = bisect_right(off, j) - 1
-        return 2 * k - 1, j - off[k]
+        periods, r0 = divmod(abs(j), self.s_prime)
+        k = bisect_right(off, r0) - 1
+        return 2 * (k + periods * (len(off) - 1)) - 1, r0 - off[k]
 
     def beta(self, j: int) -> QuadInt:
         """The j-th indecomposable; beta_0 = 1, beta_{-j} = conjugate(beta_j)."""
@@ -169,13 +170,7 @@ def _last_j(pred: Callable[[int], bool]) -> int:
             if hi < -_WALK_CAP:
                 raise InternalError("runaway index walk (decreasing side)")
         lo = hi - step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return lo + bisect_left(range(lo + 1, hi), True, key=lambda j: not pred(j))
 
 
 @lru_cache(maxsize=_LIVE_FIELDS)

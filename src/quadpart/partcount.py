@@ -19,7 +19,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .qfield import (
     BadIndex,
@@ -439,10 +439,6 @@ def closed_count_small(seq: IndecSeq, alpha: QuadInt) -> CountResult:
 
 
 # -- generators -------------------------------------------------------------------
-#
-# Each generator walks the j >= 0 whose beta_j is alpha_{i,r} with i <= i_max,
-# keeps the e*beta_j + f*beta_{j+1} its characterization accepts, and adds
-# their conjugates, which cover the negative side.
 
 
 def default_i_max(seq: IndecSeq) -> int:
@@ -450,27 +446,25 @@ def default_i_max(seq: IndecSeq) -> int:
     return seq.cf.unit_steps - 3
 
 
-def _indices_up_to(seq: IndecSeq, i_max: int) -> Iterator[int]:
-    """Every j >= 0 with beta_j = alpha_{i,r} for some i <= i_max."""
+def _generate(seq: IndecSeq, i_max: int,
+              keep: Callable[[int], list[tuple[int, int]]]) -> list[QuadInt]:
+    """Every e*beta_j + f*beta_{j+1} with (e, f) in keep(j), over the j >= 0
+    whose beta_j is alpha_{i,r} with i <= i_max, and its conjugate, which
+    covers the negative side; ascending by real embedding."""
     if i_max < -1 or i_max % 2 == 0:
         raise BadIndex(f"i_max must be odd and >= -1, got {i_max}")
+    # an ordered set: it keeps the elements nearly in real order, so sorting is cheap
+    found: dict[tuple[int, int], None] = {}
     j = 0
     while seq.pair(j)[0] <= i_max:
-        yield j
+        shapes = keep(j)
+        if shapes:  # most j keep no six-partition shape: build no beta for them
+            (gu, gv), (hu, hv) = seq.beta(j).embedding_pair(), seq.beta(j + 1).embedding_pair()
+            for e, f in shapes:
+                u, v = e * gu + f * hu, e * gv + f * hv
+                found[u, v] = found[u, -v] = None
         j += 1
-
-
-def _add_with_conjugates(found: dict, seq: IndecSeq, j: int,
-                         shapes: list[tuple[int, int]]) -> None:
-    """Add the embedding pairs of e*beta_j + f*beta_{j+1} and of its conjugate
-    to found, for each (e, f) in shapes.  found is a dict used as an ordered
-    set: it keeps the elements nearly in real order, so sorting them is cheap."""
-    if not shapes:
-        return  # most j keep no six-partition shape: build no beta for them
-    (gu, gv), (hu, hv) = seq.beta(j).embedding_pair(), seq.beta(j + 1).embedding_pair()
-    for e, f in shapes:
-        u, v = e * gu + f * hu, e * gv + f * hv
-        found[u, v] = found[u, -v] = None
+    return [QuadInt.from_embedding(u, v, seq.ctx) for u, v in reversed(_desc_real(seq.ctx, found))]
 
 
 def gen_two_indec_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:
@@ -481,17 +475,16 @@ def gen_two_indec_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:
     with f < v_{j+1} - 1, e in [1, v_j - 1) with f in [v_{j+1}, 2v_{j+1}),
     and the point (v_j - 1, v_{j+1} - 1).
     """
-    found: dict[tuple[int, int], None] = {}
-    for j in _indices_up_to(seq, i_max):
+    def keep(j: int) -> list[tuple[int, int]]:
         vs = _v_window(seq, j)
         vj, vj1 = vs[1], vs[2]
         shapes = itertools.chain(
             itertools.product(range(vj, 2 * vj), range(vj1 - 1)),
             itertools.product(range(1, vj - 1), range(vj1, 2 * vj1)),
             [(vj - 1, vj1 - 1)])
-        _add_with_conjugates(found, seq, j,
-                             [(e, f) for e, f in shapes if _two_rule(e, f, *vs)])
-    return _sorted_quadints(seq.ctx, found)
+        return [(e, f) for e, f in shapes if _two_rule(e, f, *vs)]
+
+    return _generate(seq, i_max, keep)
 
 
 def gen_six_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:
@@ -499,16 +492,8 @@ def gen_six_partitions(seq: IndecSeq, i_max: int) -> list[QuadInt]:
     index is at most i_max, plus conjugates: the small shapes whose closed
     count is 6 (every other shape has at least 7 partitions)."""
     six = CountResult.exactly(6)
-    found: dict[tuple[int, int], None] = {}
-    for j in _indices_up_to(seq, i_max):
-        _add_with_conjugates(found, seq, j, [
-            (e, f) for e, f in _SMALL_SHAPES if _small_count(seq, Decomp(j, e, f)) == six])
-    return _sorted_quadints(seq.ctx, found)
-
-
-def _sorted_quadints(ctx: FieldCtx, found: Iterable[tuple[int, int]]) -> list[QuadInt]:
-    """The elements with the given embedding pairs, ascending by real embedding."""
-    return [QuadInt.from_embedding(u, v, ctx) for u, v in reversed(_desc_real(ctx, found))]
+    return _generate(seq, i_max, lambda j: [
+        (e, f) for e, f in _SMALL_SHAPES if _small_count(seq, Decomp(j, e, f)) == six])
 
 
 # -- existence of six partitions and the explicit 6-or-9 element -----------------

@@ -187,7 +187,7 @@ class QuadInt:
         return QuadInt(self.a + self.ctx.tr_omega * self.b, -self.b, self.ctx)
 
     def trace(self) -> int:
-        return 2 * self.a + self.ctx.tr_omega * self.b
+        return self.embedding_pair()[0]
 
     def norm(self) -> int:
         t, n = self.ctx.tr_omega, self.ctx.nm_omega
@@ -203,14 +203,13 @@ class QuadInt:
         return QuadInt((u - ctx.tr_omega * v) // 2, v, ctx)
 
     def is_totally_positive(self) -> bool:
-        # Both embeddings positive  <=>  trace > 0 and norm > 0.
-        return self.trace() > 0 and self.norm() > 0
+        # Both embeddings (u +- v*sqrt(delta))/2 positive  <=>  u - |v|*sqrt(delta) > 0.
+        u, v = self.embedding_pair()
+        return sign_surd(u, -abs(v), self.ctx.delta) > 0
 
     def cmp_real(self, other: "QuadInt") -> int:
         """Exact three-way comparison of real-embedding values."""
-        self._same_field(other)
-        u = 2 * (self.a - other.a) + self.ctx.tr_omega * (self.b - other.b)
-        return sign_surd(u, self.b - other.b, self.ctx.delta)
+        return sign_surd(*(self - other).embedding_pair(), self.ctx.delta)
 
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "D": self.ctx.D}

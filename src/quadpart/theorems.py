@@ -3,8 +3,8 @@
 Everything that gates a pass/fail decision here is computed in exact
 arithmetic: norms are integers, bound values are integer surd expressions,
 and partition counts come from the capped exact oracles.  Floating point
-appears only in the density report's displayed right-hand side, which never
-drives a decision.
+appears only in report fields that never drive a decision: the density
+report's displayed right-hand side and the bound report's bound_float.
 """
 
 from __future__ import annotations

@@ -51,6 +51,29 @@ def test_conjugate_symmetry_and_monotonicity():
             assert seq.beta(j).cmp_real(seq.beta(j + 1)) < 0
 
 
+@pytest.mark.parametrize("d, s_odd", [(d, True) for d in (2, 5, 13, 97, 9001)]
+                         + [(d, False) for d in (3, 7, 19, 31, 94)])
+def test_pair_matches_block_walk(d, s_odd):
+    """pair(j) reads a table of one unit period; a plain walk of the block
+    widths u_{i+2} from (i, r) = (-1, 0) gives the same (i, r) for every j."""
+    seq = indec_seq(d)
+    cf, sp = seq.cf, seq.s_prime
+    assert (cf.s % 2 == 1) == s_odd
+    assert sp == sum(cf.u(i + 2) for i in range(-1, cf.unit_steps - 2, 2))
+    assert seq.beta(sp) == seq.table.eps_plus
+    walk, i, r = [], -1, 0
+    while len(walk) < 5 * sp:
+        walk.append((i, r))
+        r += 1
+        if r == cf.u(i + 2):
+            i, r = i + 2, 0
+    for j in range(-4 * sp, 4 * sp):
+        assert seq.pair(j) == walk[abs(j)]
+        if j >= 0:
+            i, r = walk[j]
+            assert seq.pair(j + sp) == (i + cf.unit_steps, r)
+
+
 def test_unit_period_shift():
     for d in (2, 3, 5, 13, 21, 46):
         seq = indec_seq(d)
