@@ -11,7 +11,6 @@ is the scan's CSV text followed by one seal line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -171,7 +170,7 @@ def _dump(payload: dict) -> str:
 
 
 def _cmd_field(args) -> int:
-    print(_dump(dataclasses.asdict(make_field(args.D))))
+    print(_dump(make_field(args.D)._asdict()))
     return 0
 
 

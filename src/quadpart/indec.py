@@ -10,10 +10,9 @@ the three-term relation  v_j * beta_j = beta_{j-1} + beta_{j+1}.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .qfield import (
     InternalError,
@@ -28,8 +27,7 @@ _WALK_CAP = 1_000_000
 _LIVE_FIELDS = 16  # callers reuse a field only between consecutive calls
 
 
-@dataclass(frozen=True)
-class Decomp:
+class Decomp(NamedTuple):
     """The unique expression alpha = e*beta_j + f*beta_{j+1}, e >= 1, f >= 0."""
 
     j: int

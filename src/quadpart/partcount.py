@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .qfield import (
     BadIndex,
@@ -35,8 +34,7 @@ from .indec import Decomp, IndecSeq, indec_seq
 # -- count results -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     """Either an exact partition count or a saturated lower bound."""
 
     exact: bool
@@ -102,8 +100,10 @@ def _desc_real(ctx: FieldCtx, pairs: Iterable[tuple[int, int]]) -> list[tuple[in
     return sorted(pairs, key=lambda c: c[0] * q + c[1] * p, reverse=True)
 
 
-def _support_tuples(alpha: QuadInt) -> list[tuple[int, int]]:
-    """Embedding pairs of every totally positive gamma <= alpha, descending by real value.
+def _support_tuples(alpha: QuadInt,
+                    limit: Optional[int] = None) -> Optional[list[tuple[int, int]]]:
+    """Embedding pairs of every totally positive gamma <= alpha, descending by
+    real value, or None once the walk holds limit points.
 
     gamma = e*beta_j + f*beta_{j+1} has beta_j <= gamma <= alpha, so j lies in
     the run of j with beta_j <= alpha that indec_window_leq reads; adding a totally
@@ -128,6 +128,8 @@ def _support_tuples(alpha: QuadInt) -> list[tuple[int, int]]:
             while sign_surd(au - u, -abs(av - v), delta) >= 0:
                 out.append((u, v))
                 u, v = u + hu, v + hv
+            if limit is not None and len(out) >= limit:
+                return None
             eu, ev = eu + gu, ev + gv
         if len(out) == emitted:
             return _desc_real(seq.ctx, out)  # beta_j is not <= alpha: j left the window
@@ -239,7 +241,7 @@ class PartitionCounter:
         return total
 
 
-def _count(alpha: QuadInt, support: Callable[[QuadInt], list[tuple[int, int]]],
+def _count(alpha: QuadInt, support: Callable[[QuadInt], Optional[list[tuple[int, int]]]],
            cap: Optional[int], memo: Optional[dict] = None) -> CountResult:
     """Partitions of alpha into the parts support(alpha) lists, saturated above
     cap; a given memo is shared with other calls of one field, cap and support."""
@@ -249,8 +251,10 @@ def _count(alpha: QuadInt, support: Callable[[QuadInt], list[tuple[int, int]]],
         count = 1  # the empty partition
     elif not alpha.is_totally_positive():
         raise NotTotallyPositive(f"{alpha} is not totally positive")
+    elif (parts := support(alpha)) is None:
+        count = cap + 1  # the support alone proves more than cap partitions
     else:
-        count = PartitionCounter(alpha.ctx, support(alpha), cap, memo).count(alpha)
+        count = PartitionCounter(alpha.ctx, parts, cap, memo).count(alpha)
     if cap is not None and count > cap:
         return CountResult.at_least(cap + 1)
     return CountResult.exactly(count)
@@ -258,7 +262,10 @@ def _count(alpha: QuadInt, support: Callable[[QuadInt], list[tuple[int, int]]],
 
 def pk(alpha: QuadInt, cap: Optional[int] = None) -> CountResult:
     """Number of partitions of alpha into totally positive parts (p_K(0) = 1)."""
-    return _count(alpha, _support_tuples, cap)
+    # Each gamma != alpha in supp(alpha) pairs with alpha - gamma into a partition,
+    # so p_K(alpha) >= 1 + ceil((|supp| - 1)/2): 2*cap + 1 points prove more than cap.
+    limit = None if cap is None else 2 * cap + 1
+    return _count(alpha, lambda a: _support_tuples(a, limit), cap)
 
 
 def indec_support(alpha: QuadInt) -> list[tuple[int, int]]:
@@ -453,7 +460,7 @@ def _generate(seq: IndecSeq, i_max: int,
     covers the negative side; ascending by real embedding."""
     if i_max < -1 or i_max % 2 == 0:
         raise BadIndex(f"i_max must be odd and >= -1, got {i_max}")
-    # an ordered set: it keeps the elements nearly in real order, so sorting is cheap
+    # an ordered set: it drops repeats and keeps insertion order; the exact sort decides the output
     found: dict[tuple[int, int], None] = {}
     j = 0
     while seq.pair(j)[0] <= i_max:

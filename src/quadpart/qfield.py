@@ -11,7 +11,7 @@ exact integer arithmetic; no floating point enters any decision path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class QuadpartError(Exception):
@@ -83,8 +83,7 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldCtx:
+class FieldCtx(NamedTuple):
     """Immutable per-field context: D and every derived constant, all exact.
 
     basis_case is 'sqrt' when w = sqrt(D) and 'half' when w = (1+sqrt(D))/2.
@@ -101,7 +100,7 @@ class FieldCtx:
     floor_xi: int
     c_d: int
 
-    def __repr__(self) -> str:  # keep hash/eq from dataclass, short repr
+    def __repr__(self) -> str:
         return f"FieldCtx(D={self.D})"
 
 
@@ -232,8 +231,7 @@ def xi(ctx: FieldCtx) -> QuadInt:
     return QuadInt(-ctx.tr_omega, 1, ctx)
 
 
-@dataclass(frozen=True)
-class SurdExpr:
+class SurdExpr(NamedTuple):
     """Exact value x + y*sqrt(delta) with integer x, y; sign is decided exactly."""
 
     x: int

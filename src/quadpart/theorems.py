@@ -13,8 +13,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .qfield import (
     BadIndex,
@@ -206,15 +205,14 @@ def _low_counts(seq: IndecSeq, m: int):
     return _staircase(seq, m, lambda alpha: _count(alpha, _support_tuples, m, memo).value)
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     d: int
     kind: str
     m: Optional[int]
     candidates_checked: int
     max_norm_seen: int
     bound: SurdExpr
-    violations: list = field(default_factory=list)
+    violations: list
 
     @property
     def ok(self) -> bool:
@@ -256,30 +254,30 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
     seq = indec_seq(d)
     ctx = seq.ctx
     bound = norm_bound(ctx, kind, m)
-    report = BoundReport(d, kind, m, 0, 0, bound)
+    checked, max_norm, violations = 0, 0, []
 
     def check(alpha: QuadInt, strict: bool = True) -> None:
+        nonlocal checked, max_norm
         nm = alpha.norm()
-        report.candidates_checked += 1
-        report.max_norm_seen = max(report.max_norm_seen, nm)
+        checked += 1
+        max_norm = max(max_norm, nm)
         ok = bound.exceeds_int(nm) if strict else bound.minus_int(nm).sign() >= 0
         if not ok:
-            report.violations.append(alpha)
+            violations.append(alpha)
 
     if kind == "ds":
         for j in range(seq.s_prime):
             check(seq.beta(j), strict=False)
-        return report
-
-    mm = {"hk10": 1, "n": m, "n2": 2}[kind]
-    counter = _shared_indec_counter(seq, mm, cap=mm)
-    for c, alpha in _staircase(seq, mm, counter.count):
-        if kind != "n2" or c == 2:
-            check(alpha)
-    if kind == "n2":
-        for alpha in gen_two_indec_partitions(seq, default_i_max(seq)):
-            check(alpha)
-    return report
+    else:
+        mm = {"hk10": 1, "n": m, "n2": 2}[kind]
+        counter = _shared_indec_counter(seq, mm, cap=mm)
+        for c, alpha in _staircase(seq, mm, counter.count):
+            if kind != "n2" or c == 2:
+                check(alpha)
+        if kind == "n2":
+            for alpha in gen_two_indec_partitions(seq, default_i_max(seq)):
+                check(alpha)
+    return BoundReport(d, kind, m, checked, max_norm, bound, violations)
 
 
 def partition_range_witnesses(d: int) -> tuple[int, dict[int, QuadInt]]:
@@ -333,8 +331,7 @@ def scan_missing_six_fast(x: int) -> list[int]:
     return [d for d in squarefree_range(x) if not exists_six_partitions(d)]
 
 
-@dataclass
-class DensityReport:
+class DensityReport(NamedTuple):
     m: int
     x: int
     members: list[int]

@@ -191,14 +191,18 @@ def test_fingerprint_does_not_import_hashlib():
 
 def test_commands_do_not_import_the_pool():
     # The pool is imported only when a scan fans out: loading multiprocessing
-    # and concurrent.futures costs every other command ~25 ms and 2.6 MB RSS
-    code = ("import contextlib, io, sys; import quadpart, quadpart.cli\n"
-            "def pool(): return sorted(m for m in sys.modules\n"
-            "                          if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
-            "print(pool())\n"
+    # and concurrent.futures costs every other command ~25 ms and 2.6 MB RSS.
+    # dataclasses, with inspect, was most of the package's import time.  Only
+    # modules new since before the package count: a site hook may load its own.
+    code = ("import contextlib, io, sys; before = set(sys.modules)\n"
+            "import quadpart, quadpart.cli\n"
+            "heavy = ('multiprocessing', 'concurrent', 'dataclasses', 'inspect')\n"
+            "def loaded(): return sorted(m for m in set(sys.modules) - before\n"
+            "                            if m.split('.')[0] in heavy)\n"
+            "print(loaded())\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = quadpart.cli.run(['verify', '9001', '--bound', 'hk10'])\n"
-            "print(code, pool())\n")
+            "print(code, loaded())\n")
     assert _fresh_interpreter(code).splitlines() == ["[]", "0 []"]
 
 

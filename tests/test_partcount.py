@@ -11,7 +11,9 @@ from quadpart.qfield import (
     QuadInt,
     floor_surd,
     make_field,
+    sign_surd,
 )
+from quadpart import partcount
 from quadpart.indec import indec_seq
 from quadpart.theorems import squarefree_range
 from quadpart.partcount import (
@@ -191,6 +193,32 @@ def test_pk_cap_saturates():
     assert r == CountResult.at_least(6)
     assert pk(q(4, 2, 2), cap=3) == exact(3)
     assert pk(q(4, 2, 2), cap=2) == CountResult.at_least(3)
+
+
+def test_capped_pk_has_no_cliff(monkeypatch):
+    # The support of 10^20 in Q(sqrt(2)) has about 10^40 points; a count
+    # capped at 3 needs only 7 of them to read AtLeast(4).
+    calls = 0
+
+    def counting(u, v, delta):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise AssertionError("capped pk walked past its proof of saturation")
+        return sign_surd(u, v, delta)
+
+    monkeypatch.setattr(partcount, "sign_surd", counting)
+    assert pk(q(10**20, 0, 2), cap=3) == CountResult.at_least(4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 13, 94, 97]), st.integers(-2, 3), st.integers(1, 3),
+       st.integers(0, 3), st.integers(0, 7))
+def test_capped_pk_matches_uncapped_count(d, j, e, f, cap):
+    seq = indec_seq(d)
+    alpha = e * seq.beta(j) + f * seq.beta(j + 1)
+    n = pk(alpha).value
+    assert pk(alpha, cap) == (exact(n) if n <= cap else CountResult.at_least(cap + 1))
 
 
 def test_pk_rejects_negative_cap():
