@@ -233,7 +233,7 @@ def _cmd_pk(args) -> int:
         "exact": full.exact and restricted.exact,
     }
     if args.list:
-        parts = list_partitions(alpha, indec_only=args.indec)
+        parts = list_partitions(alpha, args.indec, None if args.cap is None else args.cap + 1)
         out["partitions"] = [[q.to_json() for q in p] for p in parts]
     print(_dump(out))
     return 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from bisect import bisect_left
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .qfield import (
@@ -118,20 +119,20 @@ def _support_tuples(alpha: QuadInt,
     j = seq.max_j_real_leq(alpha)
     hu, hv = seq.beta(j + 1).embedding_pair()
     while True:
-        gu, gv = seq.beta(j).embedding_pair()
         # alpha - gamma is zero or totally positive iff au - u >= |av - v|*sqrt(delta),
         # for gamma = (u, v); (eu, ev) is e*beta_j
-        eu, ev = gu, gv
-        emitted = len(out)
-        while sign_surd(au - eu, -abs(av - ev), delta) >= 0:
-            u, v = eu, ev
+        eu, ev = gu, gv = seq.beta(j).embedding_pair()
+        while True:
+            u, v, row = eu, ev, len(out)
             while sign_surd(au - u, -abs(av - v), delta) >= 0:
                 out.append((u, v))
                 u, v = u + hu, v + hv
+            if len(out) == row:
+                break  # the f = 0 point e*beta_j missed: so does every later e-row
             if limit is not None and len(out) >= limit:
                 return None
             eu, ev = eu + gu, ev + gv
-        if len(out) == emitted:
+        if (eu, ev) == (gu, gv):
             return _desc_real(seq.ctx, out)  # beta_j is not <= alpha: j left the window
         j, hu, hv = j - 1, gu, gv
 
@@ -174,25 +175,19 @@ class PartitionCounter:
                          for (u0, v0), (u1, v1) in zip(parts, parts[1:]))
         self._cutoffs = parts + [None]
         self._memo = {} if memo is None else memo
-        self._ff: dict = {}
+        self._ff = {p: k for k, p in enumerate(parts)}
 
     def _first_fit(self, ua: int, va: int) -> int:
-        """First index whose part has real embedding <= (ua + va*sqrt(delta))/2."""
-        key = (ua, va)
-        hit = self._ff.get(key)
-        if hit is not None:
-            return hit
-        parts, delta = self.parts, self.ctx.delta
-        lo, hi = 0, len(parts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            pu, pv = parts[mid]
-            if sign_surd(pu - ua, pv - va, delta) <= 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        self._ff[key] = lo
-        return lo
+        """First index whose part has real embedding <= (ua + va*sqrt(delta))/2.
+        Parts strictly descend (_desc_real sorts the fan walk, indec_window_leq gives
+        consecutive beta_j), so a part's is its own index; a full count's remainders
+        r <= alpha lie in supp(alpha), so only restricted counts' remainders are searched."""
+        hit = self._ff.get((ua, va))
+        if hit is None:
+            delta = self.ctx.delta
+            hit = self._ff[ua, va] = bisect_left(
+                self.parts, True, key=lambda p: sign_surd(p[0] - ua, p[1] - va, delta) <= 0)
+        return hit
 
     def count(self, alpha: QuadInt) -> int:
         """Number of multisets summing to alpha (saturated at cap+1 if capped)."""

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from quadpart.qfield import QuadInt, SurdExpr, make_field
+from quadpart.partcount import list_partitions
 from quadpart import cli, theorems
 from quadpart.cli import run
 
@@ -337,6 +338,21 @@ def test_pk_command(capsys, cache_dir):
     assert run(["pk", "2", "4", "2", "--list"]) == 0
     doc = json.loads(out_of(capsys))
     assert len(doc["partitions"]) == 3
+
+
+def test_pk_list_obeys_cap(capsys, cache_dir):
+    # the listing holds as many partitions as the capped count it lists says
+    alpha = QuadInt(20, 0, make_field(2))
+    want = {"": list_partitions(alpha, limit=4), "--indec": list_partitions(alpha, True)}
+    assert len(want["--indec"]) == 35
+    for flag, key in (("", "pk"), ("--indec", "pk_indec")):
+        assert run(["pk", "2", "20", "0", "--cap", "3", "--list", *flag.split()]) == 0
+        doc = json.loads(out_of(capsys))
+        assert doc[key] == {"exact": False, "value": 4}
+        assert len(doc["partitions"]) == 4
+        for p, q in zip(doc["partitions"], want[flag]):
+            assert sum(int(x["a"]) for x in p) == 20 and sum(int(x["b"]) for x in p) == 0
+            assert [QuadInt(int(x["a"]), int(x["b"]), alpha.ctx) for x in p] == q
 
 
 def test_gen_command(capsys, cache_dir):

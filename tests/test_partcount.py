@@ -470,6 +470,24 @@ def test_first_fit_matches_linear_scan(d, n, a, b, pick):
     assert counter._first_fit(*x.embedding_pair()) == want
 
 
+@pytest.mark.parametrize("d, a, b", [(2, 7, 3), (5, 9, 4), (13, 8, 3), (94, 100, 10)])
+def test_full_support_first_fits_are_lookups(monkeypatch, d, a, b):
+    # Parts strictly descend, so each part's first fit is its own index, and
+    # every remainder of a full count lies in the support: counting searches nothing.
+    alpha = QuadInt(a, b, make_field(d))
+    counter = PartitionCounter(alpha.ctx, _support_tuples(alpha), cap=None)
+
+    def search(*args):
+        raise AssertionError("_first_fit searched the part list")
+
+    monkeypatch.setattr(partcount, "sign_surd", search)
+    for k, p in enumerate(counter.parts):
+        assert counter._first_fit(*p) == k
+    monkeypatch.undo()
+    assert counter.count(alpha) == pk(alpha).value
+    assert len(counter._ff) == len(counter.parts) > 10  # no remainder was searched
+
+
 # PartitionCounter.count raises the recursion limit to the trace of alpha,
 # which Hypothesis reports once per example; the limit itself is intended.
 @pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
