@@ -406,7 +406,13 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early: keep the interpreter's last flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CHECK_FAILED
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

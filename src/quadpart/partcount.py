@@ -190,16 +190,14 @@ class PartitionCounter:
         return hit
 
     def count(self, alpha: QuadInt) -> int:
-        """Number of multisets summing to alpha (saturated at cap+1 if capped)."""
-        if alpha.is_zero():
-            return 1
-        if not alpha.is_totally_positive():
-            raise NotTotallyPositive(f"{alpha} is not totally positive")
-        # chain depth is at most the trace (every part has trace >= 1)
-        need = min(alpha.trace() + 100, 1_000_000)
+        """Number of multisets summing to alpha, saturated at cap+1 if capped.  Not exported, so
+        unchecked: _count and the staircase (e >= 1) pass only totally positive alpha."""
+        u, v = alpha.embedding_pair()
+        # chain depth is at most the trace u (every part has trace >= 1)
+        need = min(u + 100, 1_000_000)
         if sys.getrecursionlimit() < need:
             sys.setrecursionlimit(need)
-        return self._ways(*alpha.embedding_pair(), 0)
+        return self._ways(u, v, 0)
 
     def _ways(self, ru: int, rv: int, i: int) -> int:
         i0 = self._first_fit(ru, rv)
@@ -237,9 +235,9 @@ class PartitionCounter:
 
 
 def _count(alpha: QuadInt, support: Callable[[QuadInt], Optional[list[tuple[int, int]]]],
-           cap: Optional[int], memo: Optional[dict] = None) -> CountResult:
+           cap: Optional[int]) -> CountResult:
     """Partitions of alpha into the parts support(alpha) lists, saturated above
-    cap; a given memo is shared with other calls of one field, cap and support."""
+    cap; the one check of alpha before a PartitionCounter counts it."""
     if cap is not None and cap < 0:
         raise BadIndex(f"cap must be >= 0, got {cap}")
     if alpha.is_zero():
@@ -249,7 +247,7 @@ def _count(alpha: QuadInt, support: Callable[[QuadInt], Optional[list[tuple[int,
     elif (parts := support(alpha)) is None:
         count = cap + 1  # the support alone proves more than cap partitions
     else:
-        count = PartitionCounter(alpha.ctx, parts, cap, memo).count(alpha)
+        count = PartitionCounter(alpha.ctx, parts, cap).count(alpha)
     if cap is not None and count > cap:
         return CountResult.at_least(cap + 1)
     return CountResult.exactly(count)

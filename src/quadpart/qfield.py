@@ -232,21 +232,11 @@ def xi(ctx: FieldCtx) -> QuadInt:
 
 
 class SurdExpr(NamedTuple):
-    """Exact value x + y*sqrt(delta) with integer x, y; sign is decided exactly."""
+    """The value x + y*sqrt(delta) of a norm bound, for printing; x, y are integers."""
 
     x: int
     y: int
     delta: int
-
-    def sign(self) -> int:
-        return sign_surd(self.x, self.y, self.delta)
-
-    def minus_int(self, n: int) -> "SurdExpr":
-        return SurdExpr(self.x - n, self.y, self.delta)
-
-    def exceeds_int(self, n: int) -> bool:
-        """True iff n < x + y*sqrt(delta), decided exactly."""
-        return self.minus_int(n).sign() > 0
 
     def to_float(self) -> float:
         """Non-authoritative numeric view (reporting only)."""

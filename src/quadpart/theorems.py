@@ -10,6 +10,7 @@ report's displayed right-hand side and the bound report's bound_float.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -21,12 +22,12 @@ from .qfield import (
     InternalError,
     QuadInt,
     SurdExpr,
+    floor_surd,
 )
 from .indec import IndecSeq, indec_seq
 from .partcount import (
     CountResult,
     PartitionCounter,
-    _count,
     _support_tuples,
     default_i_max,
     exists_six_partitions,
@@ -202,7 +203,8 @@ def _low_counts(seq: IndecSeq, m: int):
     generator share one memo.
     """
     memo: dict = {}
-    return _staircase(seq, m, lambda alpha: _count(alpha, _support_tuples, m, memo).value)
+    return _staircase(seq, m, lambda alpha: PartitionCounter(
+        seq.ctx, _support_tuples(alpha), m, memo).count(alpha))
 
 
 class BoundReport(NamedTuple):
@@ -245,38 +247,32 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
 
     Only kind 'n' takes m.  The candidates come from low_count_candidates
     with mm = 1, m or 2, in its order; _staircase skips only those with more
-    than mm restricted partitions, which none of the checks takes.
+    than mm restricted partitions, which none of the checks takes.  Norms are
+    integers, so N <= b iff N <= floor(b) and N < b iff N <= ceil(b) - 1: each
+    report compares every norm with one integer, which floor_surd makes exactly.
     """
     if kind not in BOUND_KINDS:
         raise BadIndex(f"unknown bound kind {kind!r}")
     if kind != "n" and m is not None:
         raise BadIndex(f"bound kind {kind!r} takes no m")
     seq = indec_seq(d)
-    ctx = seq.ctx
-    bound = norm_bound(ctx, kind, m)
-    checked, max_norm, violations = 0, 0, []
-
-    def check(alpha: QuadInt, strict: bool = True) -> None:
-        nonlocal checked, max_norm
-        nm = alpha.norm()
-        checked += 1
-        max_norm = max(max_norm, nm)
-        ok = bound.exceeds_int(nm) if strict else bound.minus_int(nm).sign() >= 0
-        if not ok:
-            violations.append(alpha)
-
+    bound = norm_bound(seq.ctx, kind, m)
     if kind == "ds":
-        for j in range(seq.s_prime):
-            check(seq.beta(j), strict=False)
+        top = floor_surd(bound.x, bound.y, 1, bound.delta)
+        population = map(seq.beta, range(seq.s_prime))
     else:
+        top = -floor_surd(-bound.x, -bound.y, 1, bound.delta) - 1
         mm = {"hk10": 1, "n": m, "n2": 2}[kind]
         counter = _shared_indec_counter(seq, mm, cap=mm)
-        for c, alpha in _staircase(seq, mm, counter.count):
-            if kind != "n2" or c == 2:
-                check(alpha)
-        if kind == "n2":
-            for alpha in gen_two_indec_partitions(seq, default_i_max(seq)):
-                check(alpha)
+        population = itertools.chain(
+            (alpha for c, alpha in _staircase(seq, mm, counter.count) if kind != "n2" or c == 2),
+            gen_two_indec_partitions(seq, default_i_max(seq)) if kind == "n2" else ())
+    checked, max_norm, violations = 0, 0, []
+    for checked, alpha in enumerate(population, 1):
+        nm = alpha.norm()
+        max_norm = max(max_norm, nm)
+        if nm > top:
+            violations.append(alpha)
     return BoundReport(d, kind, m, checked, max_norm, bound, violations)
 
 

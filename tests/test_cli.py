@@ -183,6 +183,26 @@ def test_scan_memory_stays_flat_in_x():
     assert mb[100_000] - mb[10_000] < 10, mb
 
 
+def test_closed_stdout_ends_the_scan_quietly(cache_dir):
+    # A reader that leaves early, as `quadpart scan ... | head -1` does, closes
+    # the pipe mid-scan.  The scan prints about 190 kB, more than a pipe holds,
+    # so it is still writing then: it exits 1 without a traceback, and leaves
+    # no cache entry and no temporary file.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadpart.cli", "scan", "--m", "6", "--fast6", "--xmax", "20000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"D,m,in_range,witness_a,witness_b,pk\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.CHECK_FAILED, err
+    assert "Traceback" not in err
+    assert [f for _, _, files in os.walk(cache_dir) for f in files] == []
+
+
 def test_fingerprint_does_not_import_hashlib():
     # hashlib loads OpenSSL, about 3.5 MB of RSS in every cached scan
     code = ("import sys; from quadpart import cli; print(cli.code_fingerprint()); "

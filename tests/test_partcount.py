@@ -148,8 +148,13 @@ def test_pk_examples():
     assert pk(q(6, 2, 3)) == exact(9)
     assert pk(q(0, 0, 7)) == exact(1)
     assert pk(q(3, 0, 2)) == exact(3)
-    with pytest.raises(NotTotallyPositive):
-        pk(q(-1, 0, 5))
+    # 1 - sqrt(2) has trace 2 but a negative real embedding; the counter
+    # itself checks nothing, so both counts must refuse it before counting
+    for alpha in (q(-1, 0, 5), q(1, -1, 2)):
+        for fn in (pk, pk_indec):
+            for cap in (None, 3):
+                with pytest.raises(NotTotallyPositive):
+                    fn(alpha, cap=cap)
 
 
 def test_pk_explicit_partitions():

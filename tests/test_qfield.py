@@ -11,7 +11,6 @@ from quadpart.qfield import (
     NotSquarefree,
     OutOfRange,
     QuadInt,
-    SurdExpr,
     floor_surd,
     make_field,
     sign_surd,
@@ -198,15 +197,13 @@ def test_sign_surd_metamorphic():
             assert got == (1 if approx > 0 else -1)
 
 
-def test_surd_expr_sign_uses_no_floats():
-    e = SurdExpr(-141421356237309504880168, 10**23, 2)
-    # x is a 24-digit truncation of -10**23*sqrt(2), so the sum is ~0.87
-    # against terms of size 1.4e23: far below float resolution but exactly
-    # positive
-    assert e.sign() == 1
-    e = SurdExpr(-141421356237309504880169, 10**23, 2)
-    assert e.sign() == -1
-    assert SurdExpr(0, 0, 5).sign() == 0
+def test_floor_surd_near_tie_uses_no_floats():
+    # p is a 24-digit truncation of -10**23*sqrt(2), so the sum is ~0.87
+    # against terms of size 1.4e23: far below float resolution, but its
+    # floor is exactly 0, and one less puts it exactly below 0
+    assert floor_surd(-141421356237309504880168, 10**23, 1, 2) == 0
+    assert floor_surd(-141421356237309504880169, 10**23, 1, 2) == -1
+    assert floor_surd(0, 0, 1, 5) == 0
 
 
 nonsquare = st.integers(2, 10**6).filter(lambda n: math.isqrt(n) ** 2 != n)

@@ -86,7 +86,8 @@ def test_verify_bounds_examples():
 def test_verify_bound_headroom_is_recorded():
     rep = verify_norm_bound(2, "n", 2)
     assert rep.max_norm_seen > 0
-    assert rep.bound.exceeds_int(rep.max_norm_seen)
+    bound = rep.bound
+    assert sign_surd(bound.x - rep.max_norm_seen, bound.y, bound.delta) > 0
     assert rep.to_json()["ok"] is True
 
 
@@ -108,7 +109,8 @@ def _full_box_report(d, kind, m=None):
         checked += gen_two_indec_partitions(seq, (s if s % 2 == 0 else 2 * s) - 3)
     norms = [alpha.norm() for alpha in checked]
     return BoundReport(d, kind, m, len(checked), max(norms, default=0), bound,
-                       [alpha for alpha in checked if not bound.exceeds_int(alpha.norm())])
+                       [alpha for alpha, nm in zip(checked, norms)
+                        if not sign_surd(bound.x - nm, bound.y, bound.delta) > 0])
 
 
 def test_staircase_verify_matches_full_box_oracle():
@@ -131,6 +133,21 @@ def test_verify_reports_violations_like_full_box_oracle(monkeypatch):
             assert want.violations and not rep.ok, (d, kind, m)
             assert rep.violations == want.violations, (d, kind, m)
             assert rep.candidates_checked == want.candidates_checked, (d, kind, m)
+
+
+def test_verify_bound_strictness_at_an_integer(monkeypatch):
+    # A norm equal to an integer bound violates the strict kinds and not 'ds'.
+    def patch(x):
+        monkeypatch.setattr(theorems, "norm_bound",
+                            lambda ctx, kind, m=None: SurdExpr(x, 0, ctx.delta))
+
+    patch(27)
+    rep = verify_norm_bound(13, "hk10")
+    assert (rep.candidates_checked, rep.max_norm_seen) == (12, 27)
+    assert [alpha.norm() for alpha in rep.violations] == [27, 27]
+    patch(3)
+    rep = verify_norm_bound(13, "ds")
+    assert rep.ok and rep.max_norm_seen == 3 == make_field(13).c_d
 
 
 def test_norm_bound_verification_has_no_cliff(monkeypatch):
