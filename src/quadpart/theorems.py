@@ -10,7 +10,6 @@ report's displayed right-hand side and the bound report's bound_float.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import threading
@@ -142,8 +141,9 @@ def low_count_candidates(seq: IndecSeq, m: int):
 
 
 def _staircase(seq: IndecSeq, m: int, count: Callable[[QuadInt], int]):
-    """Yield (k, alpha) for each candidate of low_count_candidates(seq, m), in
-    the order of that box, with k = count(alpha) <= m.
+    """Yield (j, e, f, k, alpha) for each candidate alpha = e*beta_j +
+    f*beta_{j+1} of low_count_candidates(seq, m) with j <= s'//2, in the
+    order of that box, with k = count(alpha) <= m.
 
     count returns a partition count (full or restricted, as the caller
     counts), or any value above m for more than m partitions.  Adding beta_j
@@ -153,8 +153,19 @@ def _staircase(seq: IndecSeq, m: int, count: Callable[[QuadInt], int]):
     e' >= e and f' >= f.  So that f-row ends there, no later e-row of this j
     goes past f, and the e-loop ends when f = 0 fails; every candidate
     skipped has more than m partitions.
+
+    The rows past s'//2 mirror earlier ones.  beta_{-j} = conjugate(beta_j),
+    multiplying by eps_plus moves j by s', and v_{-j} = v_j = v_{j+s'}, so
+    the twin of (j, e, f) is (s'-1-j, f, e) when f >= 1 and ((s'-j) mod s',
+    e, 0) when f = 0.  This is an involution of the box, and twins are each
+    other's conjugates times eps_plus (times 1 for e*beta_0).  Conjugation
+    and totally positive units permute the indecomposables, so twins have
+    equal norms and equal counts, full or restricted.  Every twin of a row
+    j > s'//2 lies in an earlier row j' <= s'//2.  So the first half holds
+    every count of the box, and the first candidate of the box with a given
+    count is never past s'//2: its twin would come before it.
     """
-    for j in range(seq.s_prime):
+    for j in range(seq.s_prime // 2 + 1):
         bj, bj1 = seq.beta(j), seq.beta(j + 1)
         f_end = m * seq.v(j + 1)
         for e in range(1, m * seq.v(j)):
@@ -165,7 +176,7 @@ def _staircase(seq: IndecSeq, m: int, count: Callable[[QuadInt], int]):
                 if k > m:
                     f_end = f
                     break
-                yield k, alpha
+                yield j, e, f, k, alpha
             if f_end == 0:
                 break
 
@@ -193,13 +204,15 @@ def _shared_indec_counter(seq: IndecSeq, m: int, cap: int) -> "PartitionCounter"
 
 
 def _low_counts(seq: IndecSeq, m: int):
-    """Yield (k, alpha) for each candidate alpha of low_count_candidates(seq, m)
-    with exactly k <= m partitions, in the order of that box.
+    """Yield (j, e, f, k, alpha) for each candidate alpha of the first half of
+    low_count_candidates(seq, m) with exactly k <= m partitions, in the order
+    of that box.
 
     The staircase walk counts each candidate with the full count capped at m,
     which reads m + 1 when saturated, and ends a row at the first count above
     m.  A candidate with exactly k partitions lies in the box for k, so the
-    first k yielded is the first hit of that box.  The full counts of one
+    first k yielded is the first hit of that box: by _staircase's mirror
+    argument it is never in the half left out.  The full counts of one
     generator share one memo.
     """
     memo: dict = {}
@@ -247,7 +260,11 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
 
     Only kind 'n' takes m.  The candidates come from low_count_candidates
     with mm = 1, m or 2, in its order; _staircase skips only those with more
-    than mm restricted partitions, which none of the checks takes.  Norms are
+    than mm restricted partitions, which none of the checks takes, and walks
+    only the first half of the box.  By its mirror argument each candidate
+    kept there stands for itself and, when its twin's row is past s'//2, for
+    that twin too, with the same norm: it counts twice, and a violating twin
+    is built from its (j, e, f) after the first half's violations.  Norms are
     integers, so N <= b iff N <= floor(b) and N < b iff N <= ceil(b) - 1: each
     report compares every norm with one integer, which floor_surd makes exactly.
     """
@@ -257,18 +274,30 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
         raise BadIndex(f"bound kind {kind!r} takes no m")
     seq = indec_seq(d)
     bound = norm_bound(seq.ctx, kind, m)
+    s, half = seq.s_prime, seq.s_prime // 2
     if kind == "ds":
         top = floor_surd(bound.x, bound.y, 1, bound.delta)
-        population = map(seq.beta, range(seq.s_prime))
+        walk, rest = (), map(seq.beta, range(s))
     else:
         top = -floor_surd(-bound.x, -bound.y, 1, bound.delta) - 1
         mm = {"hk10": 1, "n": m, "n2": 2}[kind]
-        counter = _shared_indec_counter(seq, mm, cap=mm)
-        population = itertools.chain(
-            (alpha for c, alpha in _staircase(seq, mm, counter.count) if kind != "n2" or c == 2),
-            gen_two_indec_partitions(seq, default_i_max(seq)) if kind == "n2" else ())
-    checked, max_norm, violations = 0, 0, []
-    for checked, alpha in enumerate(population, 1):
+        walk = _staircase(seq, mm, _shared_indec_counter(seq, mm, cap=mm).count)
+        rest = gen_two_indec_partitions(seq, default_i_max(seq)) if kind == "n2" else ()
+    checked, max_norm, violations, twins = 0, 0, [], []
+    for j, e, f, c, alpha in walk:
+        if kind == "n2" and c != 2:
+            continue
+        twin = (s - 1 - j, f, e) if f else ((s - j) % s, e, 0)
+        unwalked = twin[0] > half
+        nm = alpha.norm()
+        checked += 2 if unwalked else 1
+        max_norm = max(max_norm, nm)
+        if nm > top:
+            violations.append(alpha)
+            if unwalked:
+                twins.append(twin)
+    violations += [e * seq.beta(j) + f * seq.beta(j + 1) for j, e, f in sorted(twins)]
+    for checked, alpha in enumerate(rest, checked + 1):
         nm = alpha.norm()
         max_norm = max(max_norm, nm)
         if nm > top:
@@ -309,11 +338,12 @@ def value_attained(d: int, m: int) -> tuple[bool, Optional[QuadInt]]:
     low_count_candidates.  Counts are invariant under that unit action, so
     the first candidate of the box with exactly m partitions decides
     membership and is returned as the witness; _low_counts finds it with
-    the capped full count alone.
+    the capped full count alone, in the half of the box that _staircase
+    walks.
     """
     if m < 1:
         raise BadIndex(f"m must be >= 1, got {m}")
-    witness = next((alpha for k, alpha in _low_counts(indec_seq(d), m) if k == m), None)
+    witness = next((alpha for *_, k, alpha in _low_counts(indec_seq(d), m) if k == m), None)
     return witness is not None, witness
 
 
@@ -357,9 +387,10 @@ class DensityReport(NamedTuple):
 def _first_missing(d: int, m: int) -> Optional[int]:
     """The smallest k <= m that no element of Q(sqrt(d)) has exactly k
     partitions, or None.  One pass of _low_counts decides every k <= m: k is
-    attained iff it is yielded."""
+    attained iff it is yielded, since the half of the box that _staircase
+    walks holds every count of the box."""
     seen = set()
-    for k, _ in _low_counts(indec_seq(d), m):
+    for *_, k, _ in _low_counts(indec_seq(d), m):
         seen.add(k)
         if len(seen) == m:
             return None

@@ -114,19 +114,22 @@ def _full_box_report(d, kind, m=None):
 
 
 def test_staircase_verify_matches_full_box_oracle():
-    for d in squarefree_range(100):
-        for kind, m in (("hk10", None), ("n2", None), ("n", 1), ("n", 2), ("n", 3), ("n", 4)):
-            want = _full_box_report(d, kind, m).to_json()
-            assert verify_norm_bound(d, kind, m).to_json() == want, (d, kind, m)
+    cases = [(d, kind, m) for d in squarefree_range(100)
+             for kind, m in (("hk10", None), ("n2", None), ("n", 1), ("n", 2), ("n", 3), ("n", 4))]
+    for d, kind, m in cases + [(9001, "hk10", None)]:
+        want = _full_box_report(d, kind, m).to_json()
+        assert verify_norm_bound(d, kind, m).to_json() == want, (d, kind, m)
 
 
 def test_verify_reports_violations_like_full_box_oracle(monkeypatch):
     # No true bound is ever violated, so the report's violation list is
     # empty on every field.  A bound of 5 makes every candidate of norm >= 5
     # a violation; the staircase must report the oracle's list, in order.
+    # At D = 10 (s' = 6) and D = 97 (s' = 27) violations also land in rows
+    # past s'//2, both transposed (f >= 1) and in the mirrored f = 0 column.
     monkeypatch.setattr(theorems, "norm_bound",
                         lambda ctx, kind, m=None: SurdExpr(5, 0, ctx.delta))
-    for d in (2, 3, 5, 19, 94):
+    for d in (2, 3, 5, 10, 19, 94, 97):
         for kind, m in (("hk10", None), ("n", 2), ("n2", None)):
             want = _full_box_report(d, kind, m)
             rep = verify_norm_bound(d, kind, m)
@@ -153,7 +156,7 @@ def test_verify_bound_strictness_at_an_integer(monkeypatch):
 def test_norm_bound_verification_has_no_cliff(monkeypatch):
     # Most of the m = 12 box has more than 12 restricted partitions; the
     # staircase stops each row at the first such candidate (53,640 counts
-    # over the whole box, 4,815 on the staircase).
+    # over the whole box, 3,670 on the staircase's half of it).
     calls = 0
     count = PartitionCounter.count
 
@@ -357,8 +360,9 @@ def test_density_membership_is_set_union_of_scans():
 
 
 def _fresh_low_counts(seq, m):
-    # Oracle: the m-box walk with a fresh counter for every full count and no
-    # restricted screen (a candidate it would cut has more than m partitions).
+    # Oracle: the whole m-box walk with a fresh counter for every full count
+    # and no restricted screen (a candidate it would cut has more than m
+    # partitions), as (j, e, f, k, alpha).
     out = []
     for j in range(seq.s_prime):
         for e in range(1, m * seq.v(j)):
@@ -370,18 +374,48 @@ def _fresh_low_counts(seq, m):
                 alpha = e * seq.beta(j) + f * seq.beta(j + 1)
                 r = pk(alpha, cap=m)
                 if r.exact:
-                    out.append((r.value, alpha))
+                    out.append((j, e, f, r.value, alpha))
     return out
 
 
 def test_shared_memo_walk_matches_fresh_counts():
+    # The walk covers the rows j <= s'//2 of the box; that half holds every
+    # count of the box, and the decision still returns the box's first witness.
     for d in squarefree_range(100):
         seq = indec_seq(d)
         for m in (1, 2, 4, 6, 11):
-            want = _fresh_low_counts(seq, m)
+            full = _fresh_low_counts(seq, m)
+            want = [t for t in full if t[0] <= seq.s_prime // 2]
             assert list(_low_counts(seq, m)) == want, (d, m)
-            witness = next((alpha for k, alpha in want if k == m), None)
+            assert {t[3] for t in want} == {t[3] for t in full}, (d, m)
+            witness = next((alpha for *_, k, alpha in full if k == m), None)
             assert value_attained(d, m) == (witness is not None, witness), (d, m)
+
+
+def _twin(s, j, e, f):
+    return (s - 1 - j, f, e) if f else ((s - j) % s, e, 0)
+
+
+def test_mirror_twins_agree():
+    # The mirror map of _staircase's docstring, checked on the whole box: it
+    # is an involution of the box, a twin is eps_plus times the conjugate (1
+    # times it for the rational integers e*beta_0), and twins have equal
+    # capped full counts, restricted counts and norms.
+    cases = [(d, m) for d in squarefree_range(100) for m in (1, 2, 3)] + [(9001, 1)]
+    for d, m in cases:
+        seq = indec_seq(d)
+        s, eps = seq.s_prime, seq.table.eps_plus
+        box = {(j, e, f): alpha for j, e, f, alpha in low_count_candidates(seq, m)}
+        counter = _shared_indec_counter(seq, m, cap=m)
+        for (j, e, f), alpha in box.items():
+            twin = _twin(s, j, e, f)
+            other = box[twin]
+            assert _twin(s, *twin) == (j, e, f), (d, m, j, e, f)
+            unit = 1 if j == f == 0 else eps
+            assert other == unit * alpha.conjugate(), (d, m, j, e, f)
+            assert other.norm() == alpha.norm(), (d, m, j, e, f)
+            assert counter.count(other) == counter.count(alpha), (d, m, j, e, f)
+            assert pk(other, cap=m) == pk(alpha, cap=m), (d, m, j, e, f)
 
 
 def test_decisions_build_no_restricted_counter(monkeypatch):
