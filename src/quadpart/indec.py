@@ -43,6 +43,7 @@ class IndecSeq:
         self.cf = table.cf
         self.table = table
         self._beta_cache: dict[int, QuadInt] = {}
+        self._pair_cache: dict[int, tuple[int, int]] = {}
         # _offsets[k] = first index of the block at i = 2k-1, whose width is
         # u_{2k+1}.  The widths repeat after unit_steps // 2 blocks, so one
         # multiplication by eps_plus shifts the sequence index by s_prime:
@@ -74,6 +75,13 @@ class IndecSeq:
         self._beta_cache[j] = val
         return val
 
+    def beta_pair(self, j: int) -> tuple[int, int]:
+        """The embedding pair of beta_j, the form the counting core reads."""
+        cached = self._pair_cache.get(j)
+        if cached is None:
+            cached = self._pair_cache[j] = self.beta(j).embedding_pair()
+        return cached
+
     def v(self, j: int) -> int:
         """Coefficient in the relation v_j*beta_j = beta_{j-1} + beta_{j+1}."""
         i, r = self.pair(j)
@@ -89,7 +97,7 @@ class IndecSeq:
             raise InternalError("index walk needs a positive real embedding")
 
         def fits(j: int) -> bool:
-            bu, bv = self.beta(j).embedding_pair()
+            bu, bv = self.beta_pair(j)
             return sign_surd(bu - xu, bv - xv, delta) <= 0
 
         return _last_j(fits)
@@ -100,7 +108,7 @@ class IndecSeq:
         x2 = conjugate(alpha) these are the indecomposables <= alpha."""
         hi = self.max_j_real_leq(x1)
         lo = -self.max_j_real_leq(x2)
-        return [self.beta(j).embedding_pair() for j in range(hi, lo - 1, -1)]
+        return [self.beta_pair(j) for j in range(hi, lo - 1, -1)]
 
     # -- core operations ----------------------------------------------------
 

@@ -82,7 +82,8 @@ def lattice_leq(ctx: FieldCtx, b1: tuple[int, int], b2: tuple[int, int]) -> list
     return out
 
 
-def _desc_real(ctx: FieldCtx, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+def _desc_real(ctx: FieldCtx, pairs: Iterable[tuple[int, int]],
+               m: Optional[int] = None) -> list[tuple[int, int]]:
     """Sort embedding pairs descending by exact real-embedding value.
 
     The key of (u, v) is u*q + v*p with p = floor(q*sqrt(delta)): 2q times the
@@ -91,50 +92,67 @@ def _desc_real(ctx: FieldCtx, pairs: Iterable[tuple[int, int]]) -> list[tuple[in
     nonzero integer).  With |u|, |v| <= m, |conj(d)| <= m*(1 + sqrt(delta)),
     so q >= m^2*(1 + root) makes 2q*|real(d)| >= 2m exceed the rounding terms
     (< 2m apart): the key order is exact and equal keys mean equal elements.
+    m defaults to the largest coordinate of the list.
     """
     pairs = list(pairs)
     delta = ctx.delta
-    m = max(map(abs, itertools.chain.from_iterable(pairs)), default=0)
+    if m is None:
+        m = max(map(abs, itertools.chain.from_iterable(pairs)), default=0)
     root = math.isqrt(delta) + 1  # > sqrt(delta)
     q = 1 << (m * m * (1 + root)).bit_length()
     p = math.isqrt(q * q * delta)
     return sorted(pairs, key=lambda c: c[0] * q + c[1] * p, reverse=True)
 
 
-def _support_tuples(alpha: QuadInt,
-                    limit: Optional[int] = None) -> Optional[list[tuple[int, int]]]:
+def _support_tuples(alpha: QuadInt, limit: Optional[int] = None,
+                    j: Optional[int] = None) -> Optional[list[tuple[int, int]]]:
     """Embedding pairs of every totally positive gamma <= alpha, descending by
     real value, or None once the walk holds limit points.
 
-    gamma = e*beta_j + f*beta_{j+1} has beta_j <= gamma <= alpha, so j lies in
-    the run of j with beta_j <= alpha that indec_window_leq reads; adding a totally
-    positive element never comes back below alpha, so the j-, e- and f-loops
-    each stop at their first miss.  The work is the support size plus the
-    window width, whatever the shape of alpha.
+    gamma = e*beta_i + f*beta_{i+1} has beta_i <= gamma <= alpha, so row i lies
+    in the window of rows with beta_i <= alpha.  Real embeddings of the beta_i
+    ascend with i and their conjugates descend, so the window is a run of
+    rows; when it holds any, its last is max_j_real_leq(alpha), the default
+    start.  The walk needs beta_j <= alpha, or an empty window (alpha not
+    totally positive); a staircase candidate e*beta_j + f*beta_{j+1} (e >= 1)
+    passes its own j.  It walks rows down from j and up from j + 1, each way
+    until a row holds no point; adding a totally positive element never comes
+    back below alpha, so the e- and f-loops of a row also stop at their first
+    miss.  The work is the support size plus the window width, whatever the
+    shape of alpha.
+
+    Every gamma <= alpha has 0 < u_gamma <= u_alpha and |v_gamma|*sqrt(delta)
+    < u_gamma, so the trace u_alpha bounds every coordinate for _desc_real.
     """
     seq = indec_seq(alpha.ctx.D)
     delta = seq.ctx.delta
     au, av = alpha.embedding_pair()
+    if j is None:
+        j = seq.max_j_real_leq(alpha)
+    pair = seq.beta_pair
     out = []
-    j = seq.max_j_real_leq(alpha)
-    hu, hv = seq.beta(j + 1).embedding_pair()
-    while True:
-        # alpha - gamma is zero or totally positive iff au - u >= |av - v|*sqrt(delta),
-        # for gamma = (u, v); (eu, ev) is e*beta_j
-        eu, ev = gu, gv = seq.beta(j).embedding_pair()
+    for i, step in ((j, -1), (j + 1, 1)):
+        g, h = pair(i), pair(i + 1)
         while True:
-            u, v, row = eu, ev, len(out)
-            while sign_surd(au - u, -abs(av - v), delta) >= 0:
-                out.append((u, v))
-                u, v = u + hu, v + hv
-            if len(out) == row:
-                break  # the f = 0 point e*beta_j missed: so does every later e-row
-            if limit is not None and len(out) >= limit:
-                return None
-            eu, ev = eu + gu, ev + gv
-        if (eu, ev) == (gu, gv):
-            return _desc_real(seq.ctx, out)  # beta_j is not <= alpha: j left the window
-        j, hu, hv = j - 1, gu, gv
+            # alpha - gamma is zero or totally positive iff au - u >= |av - v|*sqrt(delta),
+            # for gamma = (u, v); (eu, ev) is e*beta_i
+            (gu, gv), (hu, hv) = g, h
+            eu, ev, first = gu, gv, len(out)
+            while True:
+                u, v, row = eu, ev, len(out)
+                while sign_surd(au - u, -abs(av - v), delta) >= 0:
+                    out.append((u, v))
+                    u, v = u + hu, v + hv
+                if len(out) == row:
+                    break  # the f = 0 point e*beta_i missed: so does every later e-row
+                if limit is not None and len(out) >= limit:
+                    return None
+                eu, ev = eu + gu, ev + gv
+            if len(out) == first:
+                break  # beta_i is not <= alpha: i left the window
+            i += step  # the next row shares one beta with this one
+            g, h = (pair(i), g) if step < 0 else (h, pair(i + 1))
+    return _desc_real(seq.ctx, out, au)
 
 
 def parts_leq(alpha: QuadInt) -> list[QuadInt]:
@@ -179,9 +197,9 @@ class PartitionCounter:
 
     def _first_fit(self, ua: int, va: int) -> int:
         """First index whose part has real embedding <= (ua + va*sqrt(delta))/2.
-        Parts strictly descend (_desc_real sorts the fan walk, indec_window_leq gives
-        consecutive beta_j), so a part's is its own index; a full count's remainders
-        r <= alpha lie in supp(alpha), so only restricted counts' remainders are searched."""
+        Parts strictly descend (_desc_real sorts the rows _support_tuples walks,
+        indec_window_leq gives consecutive beta_j), so a part's is its own index; a full count's
+        remainders r <= alpha lie in supp(alpha), so only restricted counts' remainders are searched."""
         hit = self._ff.get((ua, va))
         if hit is None:
             delta = self.ctx.delta

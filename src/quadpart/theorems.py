@@ -140,10 +140,10 @@ def low_count_candidates(seq: IndecSeq, m: int):
                 yield j, e, f, base + f * bj1
 
 
-def _staircase(seq: IndecSeq, m: int, count: Callable[[QuadInt], int]):
+def _staircase(seq: IndecSeq, m: int, count: Callable[[int, QuadInt], int]):
     """Yield (j, e, f, k, alpha) for each candidate alpha = e*beta_j +
     f*beta_{j+1} of low_count_candidates(seq, m) with j <= s'//2, in the
-    order of that box, with k = count(alpha) <= m.
+    order of that box, with k = count(j, alpha) <= m.
 
     count returns a partition count (full or restricted, as the caller
     counts), or any value above m for more than m partitions.  Adding beta_j
@@ -172,7 +172,7 @@ def _staircase(seq: IndecSeq, m: int, count: Callable[[QuadInt], int]):
             base = e * bj
             for f in range(f_end):
                 alpha = base + f * bj1
-                k = count(alpha)
+                k = count(j, alpha)
                 if k > m:
                     f_end = f
                     break
@@ -213,11 +213,12 @@ def _low_counts(seq: IndecSeq, m: int):
     m.  A candidate with exactly k partitions lies in the box for k, so the
     first k yielded is the first hit of that box: by _staircase's mirror
     argument it is never in the half left out.  The full counts of one
-    generator share one memo.
+    generator share one memo.  Each support walk starts at the candidate's
+    own row j, which lies in its window since e >= 1.
     """
     memo: dict = {}
-    return _staircase(seq, m, lambda alpha: PartitionCounter(
-        seq.ctx, _support_tuples(alpha), m, memo).count(alpha))
+    return _staircase(seq, m, lambda j, alpha: PartitionCounter(
+        seq.ctx, _support_tuples(alpha, j=j), m, memo).count(alpha))
 
 
 class BoundReport(NamedTuple):
@@ -281,7 +282,8 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
     else:
         top = -floor_surd(-bound.x, -bound.y, 1, bound.delta) - 1
         mm = {"hk10": 1, "n": m, "n2": 2}[kind]
-        walk = _staircase(seq, mm, _shared_indec_counter(seq, mm, cap=mm).count)
+        counter = _shared_indec_counter(seq, mm, cap=mm)
+        walk = _staircase(seq, mm, lambda _, alpha: counter.count(alpha))
         rest = gen_two_indec_partitions(seq, default_i_max(seq)) if kind == "n2" else ()
     checked, max_norm, violations, twins = 0, 0, [], []
     for j, e, f, c, alpha in walk:

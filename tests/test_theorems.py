@@ -13,10 +13,12 @@ from quadpart.partcount import (
     exists_six_partitions,
     gen_two_indec_partitions,
     indec_support,
+    lattice_leq,
     list_partitions,
     pk,
     pk_indec,
     six_or_nine_witness,
+    _desc_real,
     _support_tuples,
 )
 from quadpart.theorems import (
@@ -31,8 +33,10 @@ from quadpart.theorems import (
     squarefree_range,
     value_attained,
     verify_norm_bound,
+    _first_missing,
     _low_counts,
     _shared_indec_counter,
+    _staircase,
 )
 
 
@@ -433,6 +437,53 @@ def test_decisions_build_no_restricted_counter(monkeypatch):
     assert rep.missing == {2: 5, 3: 5, 5: 3, 7: 6, 15: 6, 17: 6, 21: 6, 23: 6,
                            34: 6, 35: 6, 37: 6, 43: 6, 47: 6}
     assert verify_norm_bound(94, "hk10").ok
+
+
+def _checked_staircase(seq, m, seen):
+    # The decisions' walk, with each support walk started at the candidate's
+    # row checked against the walk started at max_j_real_leq; seen collects
+    # (alpha, support) for the lattice oracle.
+    memo = {}
+
+    def count(j, alpha):
+        got = _support_tuples(alpha, j=j)
+        assert got == _support_tuples(alpha), (seq.ctx.D, m, j, alpha)
+        seen.append((alpha, got))
+        return PartitionCounter(seq.ctx, got, m, memo).count(alpha)
+
+    return _staircase(seq, m, count)
+
+
+def test_seeded_support_walk_matches_unseeded_walk():
+    # Every candidate the decisions count on every squarefree D <= 300 at four
+    # m, and on the rows j < 300 of D = 1399721 (s' = 10,933).  A sample also
+    # meets the structure-blind lattice_leq oracle, which scans about |v|
+    # lattice rows, so the sample keeps the candidates with |v| < 2000.
+    seen = []
+    for d in squarefree_range(300):
+        for m in (1, 2, 6, 11):
+            for _ in _checked_staircase(indec_seq(d), m, seen):
+                pass
+    for j, *_ in _checked_staircase(indec_seq(1399721), 11, seen):
+        if j >= 300:
+            break
+    sample = [(a, got) for a, got in seen[::20] if abs(a.embedding_pair()[1]) < 2000]
+    assert len(sample) > 1000
+    for alpha, got in sample:
+        u, v = alpha.embedding_pair()
+        assert got == _desc_real(alpha.ctx, lattice_leq(alpha.ctx, (u, v), (u, -v))), alpha
+
+
+def test_decisions_search_for_no_window(monkeypatch):
+    # Each count's support walk starts at its candidate's own row, so no
+    # decision gallops to the last indecomposable below a candidate.
+    def refuse(self, x):
+        raise AssertionError("a decision called max_j_real_leq")
+
+    monkeypatch.setattr(indec.IndecSeq, "max_j_real_leq", refuse)
+    assert value_attained(109, 20) == (False, None)
+    assert value_attained(139, 20) == (True, QuadInt(80890, 6861, make_field(139)))
+    assert _first_missing(94, 8) is None
 
 
 def test_single_pass_density_matches_per_k_decisions():
