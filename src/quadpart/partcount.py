@@ -8,7 +8,7 @@ gamma is uniquely e*beta_j + f*beta_{j+1} (e >= 1, f >= 0), so the support is
 walked point by point rather than scanned row by row.  lattice_leq, an exact
 scan of the embedding box that knows nothing of the indecomposables, stays as
 the test oracle for that walk.  pk / pk_indec count multisets by memoized
-recursive descent over the support in descending real-embedding order.
+recursive descent over the support; only printed lists sort by real embedding.
 Closed-form counts, characterizations, and generators live alongside and are
 cross-checked against the oracles by the test suite.
 """
@@ -82,22 +82,20 @@ def lattice_leq(ctx: FieldCtx, b1: tuple[int, int], b2: tuple[int, int]) -> list
     return out
 
 
-def _desc_real(ctx: FieldCtx, pairs: Iterable[tuple[int, int]],
-               m: Optional[int] = None) -> list[tuple[int, int]]:
+def _desc_real(ctx: FieldCtx, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Sort embedding pairs descending by exact real-embedding value.
 
     The key of (u, v) is u*q + v*p with p = floor(q*sqrt(delta)): 2q times the
     real embedding, less v times the rounding error of p.  Two distinct
     elements differ by some d != 0 with |real(d)| >= 1/|conj(d)| (N(d) is a
-    nonzero integer).  With |u|, |v| <= m, |conj(d)| <= m*(1 + sqrt(delta)),
-    so q >= m^2*(1 + root) makes 2q*|real(d)| >= 2m exceed the rounding terms
-    (< 2m apart): the key order is exact and equal keys mean equal elements.
-    m defaults to the largest coordinate of the list.
+    nonzero integer).  With m the largest coordinate of the list,
+    |conj(d)| <= m*(1 + sqrt(delta)), so q >= m^2*(1 + root) makes
+    2q*|real(d)| >= 2m exceed the rounding terms (< 2m apart): the key order
+    is exact and equal keys mean equal elements.
     """
     pairs = list(pairs)
     delta = ctx.delta
-    if m is None:
-        m = max(map(abs, itertools.chain.from_iterable(pairs)), default=0)
+    m = max(map(abs, itertools.chain.from_iterable(pairs)), default=0)
     root = math.isqrt(delta) + 1  # > sqrt(delta)
     q = 1 << (m * m * (1 + root)).bit_length()
     p = math.isqrt(q * q * delta)
@@ -106,8 +104,9 @@ def _desc_real(ctx: FieldCtx, pairs: Iterable[tuple[int, int]],
 
 def _support_tuples(alpha: QuadInt, limit: Optional[int] = None,
                     j: Optional[int] = None) -> Optional[list[tuple[int, int]]]:
-    """Embedding pairs of every totally positive gamma <= alpha, descending by
-    real value, or None once the walk holds limit points.
+    """Embedding pairs of every totally positive gamma <= alpha, descending as
+    (u, v) integer pairs, so each before every pair below it (gamma < gamma'
+    implies u_gamma < u_gamma'), or None once the walk holds limit points.
 
     gamma = e*beta_i + f*beta_{i+1} has beta_i <= gamma <= alpha, so row i lies
     in the window of rows with beta_i <= alpha.  Real embeddings of the beta_i
@@ -120,9 +119,6 @@ def _support_tuples(alpha: QuadInt, limit: Optional[int] = None,
     back below alpha, so the e- and f-loops of a row also stop at their first
     miss.  The work is the support size plus the window width, whatever the
     shape of alpha.
-
-    Every gamma <= alpha has 0 < u_gamma <= u_alpha and |v_gamma|*sqrt(delta)
-    < u_gamma, so the trace u_alpha bounds every coordinate for _desc_real.
     """
     seq = indec_seq(alpha.ctx.D)
     delta = seq.ctx.delta
@@ -152,33 +148,37 @@ def _support_tuples(alpha: QuadInt, limit: Optional[int] = None,
                 break  # beta_i is not <= alpha: i left the window
             i += step  # the next row shares one beta with this one
             g, h = (pair(i), g) if step < 0 else (h, pair(i + 1))
-    return _desc_real(seq.ctx, out, au)
+    return sorted(out, reverse=True)
 
 
 def parts_leq(alpha: QuadInt) -> list[QuadInt]:
     """All totally positive gamma <= alpha, sorted descending by real embedding."""
     if not alpha.is_totally_positive():
         raise NotTotallyPositive(f"{alpha} is not totally positive")
-    return [QuadInt.from_embedding(u, v, alpha.ctx) for u, v in _support_tuples(alpha)]
+    ctx = alpha.ctx
+    return [QuadInt.from_embedding(u, v, ctx) for u, v in _desc_real(ctx, _support_tuples(alpha))]
 
 
 # -- the counting core -----------------------------------------------------------
 
 
 class PartitionCounter:
-    """Counts multisets of a fixed descending part list summing to a target.
+    """Counts multisets of a fixed part list summing to a target.
 
-    Parts are embedding pairs of totally positive elements, sorted descending
-    by real embedding.  After _first_fit, a state counts partitions of the
-    remainder r into the parts gamma <= r up to the cutoff part in real order,
-    whatever the list, as long as it holds supp(r), as supp(alpha) for every
-    alpha >= r does.  So the memo is keyed on (r, cutoff part), None past the
-    end, and full supports of one field and cap may share one memo dict.
-    With a cap, every stored and returned value saturates at cap+1.
+    Parts are embedding pairs of totally positive elements, each before every
+    part below it: full supports descend as (u, v) pairs, and
+    indec_window_leq's indecomposables are pairwise incomparable.  After
+    _first_fit, a state counts partitions of the remainder r into the parts
+    gamma <= r listed from the cutoff part on.  In (u, v) order that count is
+    the same for every list that holds supp(r), as supp(alpha) does for every
+    alpha >= r.  So the memo is keyed on (r, cutoff part), None past the end,
+    and full supports of one field and cap may share one memo dict.  A cap
+    saturates every stored and returned value at cap+1.
 
-    The part list is a chain when its conjugate embeddings strictly ascend,
-    as they do for a run of consecutive indecomposables.  On a chain the
-    descent stops at the first part that does not fit the remainder: every
+    The part list is a chain when its conjugate embeddings strictly ascend, as
+    they do for a run of consecutive indecomposables.  As real = u - conj, a
+    chain in (u, v) or in real order descends by real embedding.  On a chain
+    the descent stops at the first part that does not fit the remainder: every
     part it tries has real embedding at most the remainder's, so a miss means
     the conjugate is too large, and every later part's conjugate is larger.
     """
@@ -196,10 +196,9 @@ class PartitionCounter:
         self._ff = {p: k for k, p in enumerate(parts)}
 
     def _first_fit(self, ua: int, va: int) -> int:
-        """First index whose part has real embedding <= (ua + va*sqrt(delta))/2.
-        Parts strictly descend (_desc_real sorts the rows _support_tuples walks,
-        indec_window_leq gives consecutive beta_j), so a part's is its own index; a full count's
-        remainders r <= alpha lie in supp(alpha), so only restricted counts' remainders are searched."""
+        """An index before which no part is <= r = (ua, va).  No part is <= an earlier one, so a
+        part's is its own index and a full count's remainders, all in supp(alpha), are lookups;
+        only the restricted lists, real-descending, are searched for the first real <= real(r)."""
         hit = self._ff.get((ua, va))
         if hit is None:
             delta = self.ctx.delta
@@ -240,9 +239,9 @@ class PartitionCounter:
             # is totally positive iff du - |dv|*sqrt(delta) > 0
             elif sign_surd(du, -abs(dv), delta) > 0:
                 total += self._ways(du, dv, k)
-            # k >= _first_fit, so real(p_k) <= real(r) and equality means
-            # p_k = r: a miss here has conj(p_k) >= conj(r), and on a chain
-            # every later part has a larger conjugate still
+            # on a chain, which descends by real embedding, k >= _first_fit gives
+            # real(p_k) <= real(r), and equality means p_k = r: a miss here has
+            # conj(p_k) >= conj(r), and every later part has a larger conjugate still
             elif chain:
                 break
             if sat is not None and total >= sat:
@@ -297,7 +296,7 @@ def list_partitions(alpha: QuadInt, indec_only: bool = False,
     if not alpha.is_totally_positive():
         raise NotTotallyPositive(f"{alpha} is not totally positive")
     ctx = alpha.ctx
-    parts = indec_support(alpha) if indec_only else _support_tuples(alpha)
+    parts = indec_support(alpha) if indec_only else _desc_real(ctx, _support_tuples(alpha))
     out: list[list[QuadInt]] = []
 
     def descend(ru: int, rv: int, i: int, acc: list):

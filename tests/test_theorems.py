@@ -441,15 +441,19 @@ def test_decisions_build_no_restricted_counter(monkeypatch):
 
 def _checked_staircase(seq, m, seen):
     # The decisions' walk, with each support walk started at the candidate's
-    # row checked against the walk started at max_j_real_leq; seen collects
-    # (alpha, support) for the lattice oracle.
+    # row checked against the walk started at max_j_real_leq, and each
+    # shared-memo count over the (u, v)-ordered support against a fresh count
+    # over the same support in real order; seen collects (alpha, support) for
+    # the lattice oracle.
     memo = {}
 
     def count(j, alpha):
         got = _support_tuples(alpha, j=j)
         assert got == _support_tuples(alpha), (seq.ctx.D, m, j, alpha)
         seen.append((alpha, got))
-        return PartitionCounter(seq.ctx, got, m, memo).count(alpha)
+        n = PartitionCounter(seq.ctx, got, m, memo).count(alpha)
+        assert n == PartitionCounter(seq.ctx, _desc_real(seq.ctx, got), m).count(alpha), alpha
+        return n
 
     return _staircase(seq, m, count)
 
@@ -458,7 +462,9 @@ def test_seeded_support_walk_matches_unseeded_walk():
     # Every candidate the decisions count on every squarefree D <= 300 at four
     # m, and on the rows j < 300 of D = 1399721 (s' = 10,933).  A sample also
     # meets the structure-blind lattice_leq oracle, which scans about |v|
-    # lattice rows, so the sample keeps the candidates with |v| < 2000.
+    # lattice rows, so the sample keeps the candidates with |v| < 2000.  It
+    # takes every 20th support and each of the few whose (u, v) and real
+    # orders differ, which every 20th alone misses.
     seen = []
     for d in squarefree_range(300):
         for m in (1, 2, 6, 11):
@@ -467,23 +473,45 @@ def test_seeded_support_walk_matches_unseeded_walk():
     for j, *_ in _checked_staircase(indec_seq(1399721), 11, seen):
         if j >= 300:
             break
-    sample = [(a, got) for a, got in seen[::20] if abs(a.embedding_pair()[1]) < 2000]
+    sample = [(a, got) for k, (a, got) in enumerate(seen) if abs(a.embedding_pair()[1]) < 2000
+              and (k % 20 == 0 or got != _desc_real(a.ctx, got))]
     assert len(sample) > 1000
+    assert sum(got != _desc_real(a.ctx, got) for a, got in sample) > 50
     for alpha, got in sample:
         u, v = alpha.embedding_pair()
-        assert got == _desc_real(alpha.ctx, lattice_leq(alpha.ctx, (u, v), (u, -v))), alpha
+        assert got == sorted(lattice_leq(alpha.ctx, (u, v), (u, -v)), reverse=True), alpha
+
+
+@pytest.mark.parametrize("d, j, e, f, k", [
+    (13, 0, 28, 6, 3), (13, -2, 10, 3, 5), (2, 1, 10, 8, 4), (5, 0, 12, 9, 3), (94, 0, 6, 5, 2)])
+def test_uncapped_count_matches_real_ordered_count(d, j, e, f, k):
+    # Large, unit-skewed elements (e*beta_j + f*beta_{j+1}) / eps_plus^k, whose
+    # (u, v) and real orders differ at nearly every point of the support: the
+    # uncapped pk counts in (u, v) order, the oracle counts it in real order.
+    seq = indec_seq(d)
+    alpha = e * seq.beta(j) + f * seq.beta(j + 1)
+    for _ in range(k):
+        alpha = alpha * seq.table.eps_plus.conjugate()
+    support = _support_tuples(alpha)
+    assert support != _desc_real(seq.ctx, support)
+    want = PartitionCounter(seq.ctx, _desc_real(seq.ctx, support), None).count(alpha)
+    assert pk(alpha) == CountResult.exactly(want) and want > 500
 
 
 def test_decisions_search_for_no_window(monkeypatch):
     # Each count's support walk starts at its candidate's own row, so no
-    # decision gallops to the last indecomposable below a candidate.
-    def refuse(self, x):
-        raise AssertionError("a decision called max_j_real_leq")
+    # decision gallops to the last indecomposable below a candidate.  No
+    # count, uncapped pk included, sorts its parts by real embedding.
+    def refuse(*args):
+        raise AssertionError("a count called max_j_real_leq or _desc_real")
 
-    monkeypatch.setattr(indec.IndecSeq, "max_j_real_leq", refuse)
-    assert value_attained(109, 20) == (False, None)
-    assert value_attained(139, 20) == (True, QuadInt(80890, 6861, make_field(139)))
-    assert _first_missing(94, 8) is None
+    monkeypatch.setattr(partcount, "_desc_real", refuse)
+    with monkeypatch.context() as patch:
+        patch.setattr(indec.IndecSeq, "max_j_real_leq", refuse)
+        assert value_attained(109, 20) == (False, None)
+        assert value_attained(139, 20) == (True, QuadInt(80890, 6861, make_field(139)))
+        assert _first_missing(94, 8) is None
+    assert pk(QuadInt(26680, -11586, make_field(13))) == CountResult.exactly(62431181)
 
 
 def test_single_pass_density_matches_per_k_decisions():
