@@ -42,8 +42,7 @@ class IndecSeq:
         self.ctx = table.ctx
         self.cf = table.cf
         self.table = table
-        self._beta_cache: dict[int, QuadInt] = {}
-        self._pair_cache: dict[int, tuple[int, int]] = {}
+        self._pairs: dict[int, tuple[int, int]] = {}  # j -> embedding pair of beta_j
         # _offsets[k] = first index of the block at i = 2k-1, whose width is
         # u_{2k+1}.  The widths repeat after unit_steps // 2 blocks, so one
         # multiplication by eps_plus shifts the sequence index by s_prime:
@@ -63,23 +62,19 @@ class IndecSeq:
         return 2 * (k + periods * (len(off) - 1)) - 1, r0 - off[k]
 
     def beta(self, j: int) -> QuadInt:
-        """The j-th indecomposable; beta_0 = 1, beta_{-j} = conjugate(beta_j)."""
-        cached = self._beta_cache.get(j)
-        if cached is not None:
-            return cached
-        if j < 0:
-            val = self.beta(-j).conjugate()
-        else:
-            i, r = self.pair(j)
-            val = self.table.semiconvergent(i, r)
-        self._beta_cache[j] = val
-        return val
+        """The j-th indecomposable (beta_0 = 1, beta_{-j} = beta_j'), built from beta_pair(j)."""
+        return QuadInt.from_embedding(*self.beta_pair(j), self.ctx)
 
     def beta_pair(self, j: int) -> tuple[int, int]:
-        """The embedding pair of beta_j, the form the counting core reads."""
-        cached = self._pair_cache.get(j)
+        """The embedding pair of beta_j, the one form in which it is stored."""
+        cached = self._pairs.get(j)
         if cached is None:
-            cached = self._pair_cache[j] = self.beta(j).embedding_pair()
+            if j < 0:
+                u, v = self.beta_pair(-j)
+                cached = u, -v
+            else:
+                cached = self.table.semiconvergent(*self.pair(j)).embedding_pair()
+            self._pairs[j] = cached
         return cached
 
     def v(self, j: int) -> int:
@@ -116,18 +111,20 @@ class IndecSeq:
         """The unique (j, e, f) with alpha = e*beta_j + f*beta_{j+1}, e>=1, f>=0.
 
         Adjacent indecomposables have coordinate determinant
-        det(beta_j, beta_{j+1}) = 1, so f = det(beta_j, alpha) and
-        e = -det(beta_{j+1}, alpha).  det(beta_j, alpha) >= 0 iff
+        det(beta_j, beta_{j+1}) = 1, and a determinant of embedding pairs is
+        twice that of coordinates, so f = det(beta_j, alpha)/2 and
+        e = -det(beta_{j+1}, alpha)/2 in pairs.  det(beta_j, alpha) >= 0 iff
         beta_j/beta_j' <= alpha/alpha', and beta_j/beta_j' increases with j,
         so j is the last index where it is >= 0.
         """
         if not alpha.is_totally_positive():
             raise NotTotallyPositive(f"{alpha} is not totally positive")
-        j = _last_j(lambda j: self.beta(j).a * alpha.b >= self.beta(j).b * alpha.a)
-        g, h = self.beta(j), self.beta(j + 1)
-        if g.a * h.b - g.b * h.a != 1:
+        au, av = alpha.embedding_pair()
+        j = _last_j(lambda j: self.beta_pair(j)[0] * av >= self.beta_pair(j)[1] * au)
+        (gu, gv), (hu, hv) = self.beta_pair(j), self.beta_pair(j + 1)
+        if gu * hv - gv * hu != 2:
             raise InternalError(f"beta_{j}, beta_{j + 1} are not a basis")
-        return Decomp(j, alpha.a * h.b - alpha.b * h.a, g.a * alpha.b - g.b * alpha.a)
+        return Decomp(j, (au * hv - av * hu) // 2, (gu * av - gv * au) // 2)
 
     # -- unit action ---------------------------------------------------------
 

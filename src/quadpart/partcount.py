@@ -476,7 +476,7 @@ def _generate(seq: IndecSeq, i_max: int,
     while seq.pair(j)[0] <= i_max:
         shapes = keep(j)
         if shapes:  # most j keep no six-partition shape: build no beta for them
-            (gu, gv), (hu, hv) = seq.beta(j).embedding_pair(), seq.beta(j + 1).embedding_pair()
+            (gu, gv), (hu, hv) = seq.beta_pair(j), seq.beta_pair(j + 1)
             for e, f in shapes:
                 u, v = e * gu + f * hu, e * gv + f * hv
                 found[u, v] = found[u, -v] = None

@@ -5,7 +5,8 @@ the continued fraction so that the tests can hold the fast paths to it.
 """
 
 from quadpart.cfrac import CFData, ConvergentTable
-from quadpart.qfield import QuadInt, sign_surd
+from quadpart.indec import Decomp, IndecSeq, _last_j
+from quadpart.qfield import InternalError, NotTotallyPositive, QuadInt, sign_surd
 
 
 def succeq(x: QuadInt, y: QuadInt) -> bool:
@@ -43,3 +44,30 @@ def verify_tail_norm_identity(table: ConvergentTable, i: int) -> bool:
     surd_part = p * (2 * n_next - q)
     bound = n_i * cf.u(i + 1)
     return rational_part == 0 and surd_part == 0 and bound * bound < delta
+
+
+def beta_by_semiconvergent(seq: IndecSeq, j: int) -> QuadInt:
+    """beta_j read off the convergent table with nothing stored: alpha_{i,r}
+    for j >= 0, and its conjugate for j < 0."""
+    b = seq.table.semiconvergent(*seq.pair(j))
+    return b if j >= 0 else b.conjugate()
+
+
+def canonical_decomp_by_coordinates(seq: IndecSeq, alpha: QuadInt) -> Decomp:
+    """canonical_decomp in basis coordinates (a, b).
+
+    Adjacent indecomposables have coordinate determinant 1, so
+    f = det(beta_j, alpha) and e = -det(beta_{j+1}, alpha), where j is the
+    last index with det(beta_j, alpha) >= 0.
+    """
+    if not alpha.is_totally_positive():
+        raise NotTotallyPositive(f"{alpha} is not totally positive")
+
+    def beta(j: int) -> QuadInt:
+        return beta_by_semiconvergent(seq, j)
+
+    j = _last_j(lambda j: beta(j).a * alpha.b >= beta(j).b * alpha.a)
+    g, h = beta(j), beta(j + 1)
+    if g.a * h.b - g.b * h.a != 1:
+        raise InternalError(f"beta_{j}, beta_{j + 1} are not a basis")
+    return Decomp(j, alpha.a * h.b - alpha.b * h.a, g.a * alpha.b - g.b * alpha.a)

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from quadpart.cfrac import ConvergentTable, cf_expand
 from quadpart.qfield import InternalError, NotTotallyPositive, QuadInt, make_field, sign_surd
-from quadpart.indec import Decomp, indec_seq
+from quadpart.indec import Decomp, IndecSeq, indec_seq
+from quadpart.theorems import verify_norm_bound
 
-from oracles import succeq
+from oracles import beta_by_semiconvergent, canonical_decomp_by_coordinates, succeq
 
 
 def q(a, b, d):
@@ -106,6 +108,80 @@ def test_canonical_decomp_round_trip():
             f = rng.randint(0, coeff)
             alpha = e * seq.beta(j) + f * seq.beta(j + 1)
             assert seq.canonical_decomp(alpha) == Decomp(j, e, f)
+
+
+ORACLE_FIELDS = (2, 5, 13, 94, 97, 9001, 1399721)
+
+
+def _oracle_window(sp):
+    """A window across 0 and past +-s'; at large s', slices near 0 and +-s'//2."""
+    if sp < 100:
+        return range(-sp - 4, sp + 5)
+    h = sp // 2
+    return [*range(-20, 21), *range(h - 10, h + 11), *range(-h - 10, -h + 11)]
+
+
+@pytest.mark.parametrize("d", ORACLE_FIELDS)
+def test_beta_and_beta_pair_match_semiconvergent_oracle(d, monkeypatch):
+    """beta and beta_pair agree with the table, and each beta_j with j >= 0
+    is built from its semiconvergent at most once, whatever reads it."""
+    seq = IndecSeq(ConvergentTable(cf_expand(make_field(d))))  # nothing stored yet
+    js = _oracle_window(seq.s_prime)
+    want = {j: beta_by_semiconvergent(seq, j) for j in js}
+    calls = []
+    semiconvergent = ConvergentTable.semiconvergent
+
+    def counted(table, i, r):
+        calls.append((i, r))
+        return semiconvergent(table, i, r)
+
+    monkeypatch.setattr(ConvergentTable, "semiconvergent", counted)
+    for j in js:
+        assert seq.beta(j) == want[j], (d, j)
+        assert seq.beta_pair(j) == want[j].embedding_pair(), (d, j)
+    for j in js:
+        alpha = 2 * want[j] + want[j] * want[j]
+        seq.indec_window_leq(alpha, alpha.conjugate())
+        seq.beta(j), seq.beta_pair(j)
+    assert calls and len(calls) == len(set(calls)), d
+
+
+def test_no_quadint_cache_after_verify():
+    """After a verify, the field's sequence stores no QuadInt per index."""
+    verify_norm_bound(9001, "hk10")
+    seq = indec_seq(9001)
+    dicts = [v for v in vars(seq).values() if isinstance(v, dict)]
+    assert dicts and any(dicts)
+    for cache in dicts:
+        assert not any(isinstance(x, QuadInt) for x in cache.values())
+
+
+def test_canonical_decomp_matches_coordinate_oracle():
+    """The decomposition read in embedding pairs equals the one read in
+    basis coordinates, on both sides of 0 and after shifts by eps_plus."""
+    rng = random.Random(53)
+    for d in ORACLE_FIELDS:
+        seq = indec_seq(d)
+        sp, ep = seq.s_prime, seq.table.eps_plus
+        for _ in range(15 if d == 1399721 else 50):
+            j = rng.randint(-2 * sp - 3, 2 * sp + 3) if sp < 100 else rng.choice(_oracle_window(sp))
+            e, f, k = rng.randint(1, 10**4), rng.randint(0, 10**4), rng.randint(-2, 2)
+            alpha = e * seq.beta(j) + f * seq.beta(j + 1)
+            for _ in range(abs(k)):
+                alpha = alpha * (ep if k > 0 else ep.conjugate())
+            got = seq.canonical_decomp(alpha)
+            assert got == canonical_decomp_by_coordinates(seq, alpha) == Decomp(j + k * sp, e, f)
+
+
+def test_canonical_decomp_checks_its_basis(monkeypatch):
+    """Pairs that are not a basis (here every beta_j doubled) raise, not decompose."""
+    seq = indec_seq(13)
+    alpha = 3 * seq.beta(4) + 2 * seq.beta(5)
+    beta_pair = IndecSeq.beta_pair
+    monkeypatch.setattr(IndecSeq, "beta_pair",
+                        lambda self, j: tuple(2 * x for x in beta_pair(self, j)))
+    with pytest.raises(InternalError):
+        seq.canonical_decomp(alpha)
 
 
 def test_canonical_decomp_rejects_nonpositive():
