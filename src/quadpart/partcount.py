@@ -365,9 +365,13 @@ def flat_run_radius(seq: IndecSeq, j: int, t: int) -> Optional[int]:
 def is_uniquely_decomposable(seq: IndecSeq, alpha: QuadInt) -> bool:
     """True iff alpha has exactly one partition into indecomposable parts."""
     d = seq.canonical_decomp(alpha)
-    vj, vj1 = seq.v(d.j), seq.v(d.j + 1)
-    return (1 <= d.e <= vj - 1 and 0 <= d.f <= vj1 - 1
-            and (d.e, d.f) != (vj - 1, vj1 - 1))
+    return _unique_rule(d.e, d.f, seq.v(d.j), seq.v(d.j + 1))
+
+
+def _unique_rule(e: int, f: int, vj: int, vj1: int) -> bool:
+    """Whether e*beta_j + f*beta_{j+1} has exactly one partition into
+    indecomposable parts, given v_j and v_{j+1}."""
+    return 1 <= e <= vj - 1 and 0 <= f <= vj1 - 1 and (e, f) != (vj - 1, vj1 - 1)
 
 
 def _two_rule(e: int, f: int, vm1: int, vj: int, vj1: int, vp2: int) -> bool:

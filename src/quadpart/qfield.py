@@ -75,11 +75,11 @@ def floor_surd(p: int, q: int, r: int, delta: int) -> int:
 def _is_squarefree(n: int) -> bool:
     if n % 4 == 0:
         return False
-    f = 2
+    f = 3  # 4 is the only even square that matters
     while f * f <= n:
         if n % (f * f) == 0:
             return False
-        f += 1
+        f += 2
     return True
 
 

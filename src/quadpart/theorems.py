@@ -23,11 +23,13 @@ from .qfield import (
     SurdExpr,
     floor_surd,
 )
-from .indec import IndecSeq, indec_seq
+from .indec import Decomp, IndecSeq, indec_seq
 from .partcount import (
     CountResult,
     PartitionCounter,
+    _small_count,
     _support_tuples,
+    _unique_rule,
     default_i_max,
     exists_six_partitions,
     gen_two_indec_partitions,
@@ -140,10 +142,10 @@ def low_count_candidates(seq: IndecSeq, m: int):
                 yield j, e, f, base + f * bj1
 
 
-def _staircase(seq: IndecSeq, m: int, count: Callable[[int, QuadInt], int]):
+def _staircase(seq: IndecSeq, m: int, count: Callable[[int, int, int, QuadInt], int]):
     """Yield (j, e, f, k, alpha) for each candidate alpha = e*beta_j +
     f*beta_{j+1} of low_count_candidates(seq, m) with j <= s'//2, in the
-    order of that box, with k = count(j, alpha) <= m.
+    order of that box, with k = count(j, e, f, alpha) <= m.
 
     count returns a partition count (full or restricted, as the caller
     counts), or any value above m for more than m partitions.  Adding beta_j
@@ -172,7 +174,7 @@ def _staircase(seq: IndecSeq, m: int, count: Callable[[int, QuadInt], int]):
             base = e * bj
             for f in range(f_end):
                 alpha = base + f * bj1
-                k = count(j, alpha)
+                k = count(j, e, f, alpha)
                 if k > m:
                     f_end = f
                     break
@@ -208,17 +210,27 @@ def _low_counts(seq: IndecSeq, m: int):
     low_count_candidates(seq, m) with exactly k <= m partitions, in the order
     of that box.
 
-    The staircase walk counts each candidate with the full count capped at m,
-    which reads m + 1 when saturated, and ends a row at the first count above
-    m.  A candidate with exactly k partitions lies in the box for k, so the
-    first k yielded is the first hit of that box: by _staircase's mirror
-    argument it is never in the half left out.  The full counts of one
-    generator share one memo.  Each support walk starts at the candidate's
-    own row j, which lies in its window since e >= 1.
+    The staircase walk takes each candidate's full count, or a value above m
+    for more than m partitions, and ends a row at the first count above m.  A
+    candidate with exactly k partitions lies in the box for k, so the first k
+    yielded is the first hit of that box: by _staircase's mirror argument it
+    is never in the half left out.  (j, e, f) is the candidate's canonical
+    decomposition, so _small_count's closed form settles it when that form is
+    exact or its lower bound (7, 8 or 16) is above m; at m <= 6 nothing is
+    counted.  The others get the full count capped at m, which reads m + 1
+    when saturated; the counts of one generator share one memo.  Each support
+    walk starts at the candidate's own row j, which lies in its window since
+    e >= 1.
     """
     memo: dict = {}
-    return _staircase(seq, m, lambda j, alpha: PartitionCounter(
-        seq.ctx, _support_tuples(alpha, j=j), m, memo).count(alpha))
+
+    def count(j: int, e: int, f: int, alpha: QuadInt) -> int:
+        r = _small_count(seq, Decomp(j, e, f))
+        if r.exact or r.value > m:  # an exact count, or more than m partitions
+            return r.value
+        return PartitionCounter(seq.ctx, _support_tuples(alpha, j=j), m, memo).count(alpha)
+
+    return _staircase(seq, m, count)
 
 
 class BoundReport(NamedTuple):
@@ -262,12 +274,17 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
     Only kind 'n' takes m.  The candidates come from low_count_candidates
     with mm = 1, m or 2, in its order; _staircase skips only those with more
     than mm restricted partitions, which none of the checks takes, and walks
-    only the first half of the box.  By its mirror argument each candidate
-    kept there stands for itself and, when its twin's row is past s'//2, for
-    that twin too, with the same norm: it counts twice, and a violating twin
-    is built from its (j, e, f) after the first half's violations.  Norms are
-    integers, so N <= b iff N <= floor(b) and N < b iff N <= ceil(b) - 1: each
-    report compares every norm with one integer, which floor_surd makes exactly.
+    only the first half of the box.  hk10 reads its restricted counts off the
+    uniqueness rule, which in the m = 1 box gives the corner (v_j - 1,
+    v_{j+1} - 1) two partitions and every other point one, so it counts
+    nothing; n and n2 count with one shared restricted counter, and n2's
+    generated population reads the exactly-two rule instead.  By the mirror
+    argument each candidate kept there stands for itself and, when its twin's
+    row is past s'//2, for that twin too, with the same norm: it counts twice,
+    and a violating twin is built from its (j, e, f) after the first half's
+    violations.  Norms are integers, so N <= b iff N <= floor(b) and N < b iff
+    N <= ceil(b) - 1: each report compares every norm with one integer, which
+    floor_surd makes exactly.
     """
     if kind not in BOUND_KINDS:
         raise BadIndex(f"unknown bound kind {kind!r}")
@@ -282,8 +299,12 @@ def verify_norm_bound(d: int, kind: str, m: Optional[int] = None) -> BoundReport
     else:
         top = -floor_surd(-bound.x, -bound.y, 1, bound.delta) - 1
         mm = {"hk10": 1, "n": m, "n2": 2}[kind]
-        counter = _shared_indec_counter(seq, mm, cap=mm)
-        walk = _staircase(seq, mm, lambda _, alpha: counter.count(alpha))
+        if kind == "hk10":  # the m = 1 box: the uniqueness rule, capped at 1
+            walk = _staircase(seq, mm, lambda j, e, f, _: 1 if _unique_rule(
+                e, f, seq.v(j), seq.v(j + 1)) else 2)
+        else:
+            counter = _shared_indec_counter(seq, mm, cap=mm)
+            walk = _staircase(seq, mm, lambda j, e, f, alpha: counter.count(alpha))
         rest = gen_two_indec_partitions(seq, default_i_max(seq)) if kind == "n2" else ()
     checked, max_norm, violations, twins = 0, 0, [], []
     for j, e, f, c, alpha in walk:

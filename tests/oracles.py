@@ -6,7 +6,9 @@ the continued fraction so that the tests can hold the fast paths to it.
 
 from quadpart.cfrac import CFData, ConvergentTable
 from quadpart.indec import Decomp, IndecSeq, _last_j
+from quadpart.partcount import PartitionCounter, _support_tuples
 from quadpart.qfield import InternalError, NotTotallyPositive, QuadInt, sign_surd
+from quadpart.theorems import _staircase
 
 
 def succeq(x: QuadInt, y: QuadInt) -> bool:
@@ -71,3 +73,12 @@ def canonical_decomp_by_coordinates(seq: IndecSeq, alpha: QuadInt) -> Decomp:
     if g.a * h.b - g.b * h.a != 1:
         raise InternalError(f"beta_{j}, beta_{j + 1} are not a basis")
     return Decomp(j, alpha.a * h.b - alpha.b * h.a, g.a * alpha.b - g.b * alpha.a)
+
+
+def low_counts_by_counting(seq: IndecSeq, m: int):
+    """theorems._low_counts with no closed form: the staircase counts every
+    candidate it reaches with the capped full count, all of them sharing one
+    memo, each support walk started at the candidate's own row."""
+    memo: dict = {}
+    return _staircase(seq, m, lambda j, e, f, alpha: PartitionCounter(
+        seq.ctx, _support_tuples(alpha, j=j), m, memo).count(alpha))

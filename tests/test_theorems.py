@@ -1,8 +1,9 @@
+import itertools
 import sys
 from functools import cmp_to_key
 
 import pytest
-from sympy import partition
+from sympy import factorint, partition
 
 from quadpart import cfrac, indec, partcount, theorems
 from quadpart.qfield import BadIndex, QuadInt, SurdExpr, make_field, sign_surd, _is_squarefree
@@ -21,6 +22,7 @@ from quadpart.partcount import (
     _desc_real,
     _support_tuples,
 )
+from oracles import low_counts_by_counting
 from quadpart.theorems import (
     FIELDS_PER_WORKER,
     BoundReport,
@@ -48,6 +50,14 @@ def test_squarefree_range():
 def test_squarefree_tests_agree():
     # make_field checks one D by trial division, scans sieve a range
     assert [n for n in range(2, 20001) if _is_squarefree(n)] == squarefree_range(20000)
+    # past the sieve's range, against a factorization: two large fields and
+    # p^2*k for primes p far past every small trial divisor
+    big = [1399721, 19335754]
+    for p in (10007, 65537, 1000003):
+        big += [p * p, 2 * p * p, 3 * p * p, 7 * p * p * 11, p * p * 1399721]
+    for n in big:
+        assert _is_squarefree(n) == (max(factorint(n).values()) == 1), n
+    assert not _is_squarefree(1000003 ** 2 * 6) and _is_squarefree(1000003 * 1000033)
 
 
 def test_norm_bound_values():
@@ -118,8 +128,11 @@ def _full_box_report(d, kind, m=None):
 
 
 def test_staircase_verify_matches_full_box_oracle():
+    # hk10 reads the uniqueness rule and counts nothing, so its oracle's
+    # restricted counter checks it on every squarefree D <= 1000.
     cases = [(d, kind, m) for d in squarefree_range(100)
-             for kind, m in (("hk10", None), ("n2", None), ("n", 1), ("n", 2), ("n", 3), ("n", 4))]
+             for kind, m in (("n2", None), ("n", 1), ("n", 2), ("n", 3), ("n", 4))]
+    cases += [(d, "hk10", None) for d in squarefree_range(1000)]
     for d, kind, m in cases + [(9001, "hk10", None)]:
         want = _full_box_report(d, kind, m).to_json()
         assert verify_norm_bound(d, kind, m).to_json() == want, (d, kind, m)
@@ -229,6 +242,11 @@ def test_restricted_count_has_no_cliff(monkeypatch):
     monkeypatch.setattr(partcount, "sign_surd", counting)
     assert verify_norm_bound(9001, "hk10").ok
     assert calls < 500_000
+    # hk10 counts nothing now; n2 still counts with the restricted counter
+    # (207,424 calls, 3.96 M without the exit).
+    calls = 0
+    assert verify_norm_bound(9001, "n2").ok
+    assert calls < 500_000
 
 
 def test_density_census_has_no_cliff(monkeypatch):
@@ -246,6 +264,11 @@ def test_density_census_has_no_cliff(monkeypatch):
     monkeypatch.setattr(partcount, "sign_surd", counting)
     density_report(6, 300)
     assert calls < 300_000
+    # At m = 6 the closed forms settle every candidate.  At m = 8 they settle
+    # part of the box: 78,381 calls, 117,756 when every candidate is counted.
+    calls = 0
+    density_report(8, 300)
+    assert calls < 100_000
 
 
 def _all_corners_window(seq, m):
@@ -440,14 +463,15 @@ def test_decisions_build_no_restricted_counter(monkeypatch):
 
 
 def _checked_staircase(seq, m, seen):
-    # The decisions' walk, with each support walk started at the candidate's
-    # row checked against the walk started at max_j_real_leq, and each
+    # The counting walk of the decisions, with no closed form: every candidate
+    # is counted, its support walk started at the candidate's row checked
+    # against the walk started at max_j_real_leq, and each
     # shared-memo count over the (u, v)-ordered support against a fresh count
     # over the same support in real order; seen collects (alpha, support) for
     # the lattice oracle.
     memo = {}
 
-    def count(j, alpha):
+    def count(j, e, f, alpha):
         got = _support_tuples(alpha, j=j)
         assert got == _support_tuples(alpha), (seq.ctx.D, m, j, alpha)
         seen.append((alpha, got))
@@ -525,3 +549,64 @@ def test_single_pass_density_matches_per_k_decisions():
         rep = density_report(m, x)
         assert rep.members == sorted(missing), m
         assert rep.missing == missing, m
+
+
+def _check_closed_form_walk(seq, m, rows=None):
+    # The decisions' walk, which reads _small_count first, against the
+    # walk that counts every candidate: the same (j, e, f, k, alpha) stream,
+    # and the decisions read off the oracle's stream.
+    got, want = _low_counts(seq, m), low_counts_by_counting(seq, m)
+    if rows is not None:
+        got, want = (itertools.takewhile(lambda t: t[0] < rows, w) for w in (got, want))
+    want = list(want)
+    assert list(got) == want, (seq.ctx.D, m)
+    if rows is None:
+        d, ks = seq.ctx.D, {t[3] for t in want}
+        witness = next((t[4] for t in want if t[3] == m), None)
+        assert value_attained(d, m) == (witness is not None, witness), (d, m)
+        assert _first_missing(d, m) == min(set(range(1, m + 1)) - ks, default=None), (d, m)
+
+
+def test_closed_form_walk_matches_counting_walk():
+    # m = 1..20 crosses the thresholds of _small_count's lower bounds 7, 8
+    # and 16, below which they settle a candidate and above which it is counted.
+    for d in squarefree_range(300):
+        seq = indec_seq(d)
+        for m in range(1, 21):
+            _check_closed_form_walk(seq, m)
+
+
+def test_closed_form_walk_matches_counting_walk_on_hard_and_large_fields():
+    for d in (109, 46, 58, 139, 41, 166, 186, 238, 71, 74, 137):  # bench's hard-fields pairs
+        _check_closed_form_walk(indec_seq(d), 20)
+    _check_closed_form_walk(indec_seq(1399721), 11, rows=300)
+
+
+def test_decisions_at_m_up_to_six_count_nothing(monkeypatch):
+    # Every candidate at m <= 6 is settled by a closed form: _small_count is
+    # exact on the seven small shapes and at least 7 on every other shape.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decision at m <= 6 counted")
+
+    assert len(squarefree_range(60)) < 2 * FIELDS_PER_WORKER  # in-process census
+    monkeypatch.setattr(PartitionCounter, "count", refuse)
+    rep = density_report(6, 60)
+    assert rep.members == [2, 3, 5, 7, 15, 17, 21, 23, 34, 35, 37, 43, 47]
+    assert rep.missing == {2: 5, 3: 5, 5: 3, 7: 6, 15: 6, 17: 6, 21: 6, 23: 6,
+                           34: 6, 35: 6, 37: 6, 43: 6, 47: 6}
+    assert value_attained(94, 6) == (True, QuadInt(88, 9, make_field(94)))
+
+
+def test_hk10_counts_nothing(monkeypatch):
+    # hk10 reads its population off the uniqueness rule: it builds no
+    # restricted counter and counts no candidate, and reports what counting
+    # the whole box with the restricted counter reports.
+    want = _full_box_report(9001, "hk10").to_json()
+    assert (want["candidates_checked"], want["max_norm_seen"]) == (8802, "142585")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hk10 counted")
+
+    monkeypatch.setattr(theorems, "_shared_indec_counter", refuse)
+    monkeypatch.setattr(PartitionCounter, "count", refuse)
+    assert verify_norm_bound(9001, "hk10").to_json() == want
